@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .decomposition import variance_dominance
-from .dgp import DGP_KINDS, load_dataset, make_dgp, save_dataset, simulate
+from .dgp import DGP_KINDS, _stream, axes_grid, load_dataset, make_dgp, save_dataset, simulate
 from .errors import AssumptionViolation, ConfigError
-from .estimator import BANDWIDTH_MODES, BandwidthRule, bandwidth, nw_estimate
+from .estimator import BandwidthRule, bandwidth, nw_estimate
 from .kernels import KERNEL_IDS, make_kernel
 from .minimax import (fano_kl_average, holder_membership_check, hypothesis_g,
                       kl_two_point, make_fano, make_two_point, separation_check,
@@ -61,36 +61,34 @@ def _parse_bandwidth(text: str, beta: float, d_x: int) -> BandwidthRule:
     parts = text.split(":")
     if len(parts) != 2:
         raise ConfigError(f"bandwidth must look like mode:c0, got {text!r}")
-    mode, c0 = parts
-    if mode not in BANDWIDTH_MODES:
-        raise ConfigError(f"bandwidth mode {mode!r} unknown; known: {', '.join(BANDWIDTH_MODES)}")
     try:
-        c0_val = float(c0)
-    except ValueError:
-        raise ConfigError(f"bandwidth c0 must be a number, got {c0!r}") from None
-    return BandwidthRule(mode=mode, c0=c0_val, beta=beta, d_x=d_x)
+        return BandwidthRule(mode=parts[0], c0=float(parts[1]), beta=beta, d_x=d_x)
+    except ValueError as exc:
+        raise ConfigError(f"bandwidth {text!r}: {exc}") from None
 
 
-def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
+def _parse_list(text: str, key: str, cast) -> tuple:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(cast(tok) for tok in text.split(","))
     except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated integer list, got {text!r}") from None
+        raise ConfigError(f"{key} must be a comma-separated {cast.__name__} list, got {text!r}") from None
 
 
-def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
+def _spec(args):
+    """The DGP named by --dgp, --g, --d-x and --law."""
     try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated number list, got {text!r}") from None
+        return make_dgp(args.dgp, g_name=args.g, d_x=args.d_x, law=args.law)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # --- simulate ----------------------------------------------------------------
 
 
 def _cmd_simulate(args) -> list[str]:
-    spec = make_dgp(args.dgp, g_name=args.g, d_x=args.d_x, law=args.law)
-    data = simulate(spec, args.n, args.seed)
+    if args.n < 2:
+        raise ConfigError(f"--n must be >= 2, got {args.n}")
+    data = simulate(_spec(args), args.n, args.seed)
     meta = {"dgp": args.dgp, "g": args.g, "law": args.law, "d_x": args.d_x,
             "seed": args.seed, "n_units": args.n}
     save_dataset(data, args.out, meta=meta)
@@ -119,12 +117,14 @@ def _parse_grid(text: str, dim: int) -> np.ndarray:
         if steps < 1 or hi < lo:
             raise ConfigError(f"bad grid coordinate spec {sp!r}")
         axes.append(np.linspace(lo, hi, steps))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return axes_grid(axes)
 
 
 def _cmd_estimate(args) -> list[str]:
-    data, _manifest = load_dataset(args.data)
+    try:
+        data, _manifest = load_dataset(args.data)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--data: {exc}") from None
     if args.kernel not in KERNEL_IDS:
         raise ConfigError(f"kernel {args.kernel!r} unknown; known: {', '.join(KERNEL_IDS)}")
     kernel = make_kernel(args.kernel, 2 * data.d_x)
@@ -178,14 +178,18 @@ def _cmd_rates(args) -> list[str]:
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
 
-    def need(key):
-        if key not in cfg:
+    def value(key, cast=str, default=None):
+        if key not in cfg and default is None:
             raise ConfigError(f"missing required config key {key!r}")
-        return cfg[key]
+        text = cfg.get(key, default)
+        try:
+            return cast(text)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {cast.__name__}, got {text!r}") from None
 
-    d_x = int(cfg.get("dgp.d_x", "1"))
-    beta = float(cfg.get("dgp.beta", "2.0"))
-    l_const = float(cfg.get("dgp.l", "5.0"))
+    d_x = value("dgp.d_x", int, "1")
+    beta = value("dgp.beta", float, "2.0")
+    l_const = value("dgp.l", float, "5.0")
     kernel_id = cfg.get("kernel", "gaussian")
     if kernel_id not in KERNEL_IDS:
         raise ConfigError(f"kernel: {kernel_id!r} unknown; known: {', '.join(KERNEL_IDS)}")
@@ -195,28 +199,28 @@ def _cmd_rates(args) -> list[str]:
     except ValueError as exc:
         raise ConfigError(f"dgp.*: {exc}") from None
     mode = cfg.get("mode", "pointwise")
-    w0 = _parse_float_list(need("w0"), "w0") if mode == "pointwise" else None
+    w0 = _parse_list(value("w0"), "w0", float) if mode == "pointwise" else None
     try:
         rule = BandwidthRule(mode=cfg.get("bandwidth.mode", "pointwise-optimal"),
-                             c0=float(cfg.get("bandwidth.c0", "1.0")), beta=beta, d_x=d_x)
+                             c0=value("bandwidth.c0", float, "1.0"), beta=beta, d_x=d_x)
         exp = RateExperiment(
             dgp=spec,
             kernel_id=kernel_id,
             rule=rule,
             mode=mode,
-            n_list=_parse_int_list(need("n_list"), "n_list"),
-            reps=int(need("reps")),
-            seed=int(cfg.get("seed", "0")),
+            n_list=_parse_list(value("n_list"), "n_list", int),
+            reps=value("reps", int),
+            seed=value("seed", int, "0"),
             w0=w0,
-            grid_lo=float(cfg.get("grid.lo", "0.2")),
-            grid_hi=float(cfg.get("grid.hi", "0.8")),
-            grid_steps=int(cfg.get("grid.steps", "9")),
+            grid_lo=value("grid.lo", float, "0.2"),
+            grid_hi=value("grid.hi", float, "0.8"),
+            grid_steps=value("grid.steps", int, "9"),
             metric=cfg.get("metric", "median"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     fit = run_rate_experiment(exp)
-    prefix = need("out.prefix")
+    prefix = value("out.prefix")
     csv_path, json_path, plot_path = prefix + ".csv", prefix + ".fit.json", prefix + ".plot.dat"
     _atomic_write(csv_path, rate_rows_csv(fit))
     _atomic_write(json_path, rate_fit_json(fit))
@@ -229,7 +233,7 @@ def _cmd_rates(args) -> list[str]:
 
 def _cmd_minimax(args) -> list[str]:
     reports = []
-    for n in _parse_int_list(args.n, "--n"):
+    for n in _parse_list(args.n, "--n", int):
         if args.variant == "two-point":
             con = make_two_point(args.beta, args.l, args.c0, args.d_x, n)
             kl = kl_two_point(con, n, args.reps, args.seed)
@@ -249,7 +253,7 @@ def _cmd_minimax(args) -> list[str]:
         hold = holder_membership_check(g1, args.beta, args.l, 2 * args.d_x,
                                        n_pairs=400, seed=args.seed, box=(-0.25, 1.25))
         sel = build_selection(n)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(args.seed, 99))))
+        rng = _stream(args.seed, 99)
         gaps = [abs(woodbury_gap(sel, rng.standard_normal(n))) for _ in range(3)]
         body = {
             "n_units": n,
@@ -287,17 +291,19 @@ def _cmd_minimax(args) -> list[str]:
 
 
 def _cmd_diagnose(args) -> list[str]:
-    spec = make_dgp(args.dgp, g_name=args.g, d_x=args.d_x, law=args.law)
+    spec = _spec(args)
+    n_list = _parse_list(args.n, "--n", int)
+    if args.reps < 50 or min(n_list) < 3:
+        raise ConfigError(f"need --reps >= 50 and every --n >= 3, got --reps {args.reps} --n {args.n}")
     kernel_id = args.kernel
     if kernel_id not in KERNEL_IDS:
         raise ConfigError(f"kernel {kernel_id!r} unknown; known: {', '.join(KERNEL_IDS)}")
     kernel = make_kernel(kernel_id, 2 * args.d_x)
     rule = _parse_bandwidth(args.bandwidth, args.beta, args.d_x)
-    w = np.asarray(_parse_float_list(args.w, "--w"))
+    w = np.asarray(_parse_list(args.w, "--w", float))
     if w.shape != (2 * args.d_x,):
         raise ConfigError(f"--w must have {2 * args.d_x} coordinates")
-    rows = variance_dominance(spec, kernel, rule, _parse_int_list(args.n, "--n"),
-                              args.reps, w, args.seed)
+    rows = variance_dominance(spec, kernel, rule, n_list, args.reps, w, args.seed)
     lines = ["n,var_t1,var_t2,ratio,n_excluded"]
     for r in rows:
         lines.append(f"{r.n_units},{r.var_t1!r},{r.var_t2!r},{r.ratio!r},{r.n_excluded}")
@@ -314,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"dyadreg {__version__}")
     p.add_argument("--manifest", action="store_true",
                    help="write a .run.json manifest next to the first output")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap internal (BLAS) parallelism; default DYADREG_THREADS or all cores")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     ps = sub.add_parser("simulate", help="draw a dyadic dataset and write it to CSV")
@@ -370,26 +374,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_thread_cap(args):
-    cap = args.threads
-    if cap is None:
-        env = os.environ.get("DYADREG_THREADS")
-        cap = int(env) if env else None
-    if cap is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print("--threads ignored: threadpoolctl not installed", file=sys.stderr)
-        return
-    threadpool_limits(limits=cap)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "manifest", "threads")}
-    _apply_thread_cap(args)
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
     try:
         outputs = args.func(args)
         if args.manifest:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import DgpSpec, DyadicDataset, simulate
-from .estimator import BandwidthRule, _check_dims, _half_weights, bandwidth
+from .dgp import DgpSpec, DyadicDataset, replicate
+from .estimator import BandwidthRule, _weights
 
 __all__ = ["HoeffdingParts", "DominanceRow", "hoeffding_decompose", "variance_dominance"]
 
@@ -41,11 +41,10 @@ class HoeffdingParts:
 def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) -> HoeffdingParts:
     """Exact algebraic split statistic = mean_term + t1 + t2 plus the
     projection / degenerate variance-component estimates."""
-    _check_dims(data, kernel, h)
     if not tau > 0:
         raise ValueError("tau must be positive")
     n = data.n_units
-    a, b = _half_weights(data, kernel, h, w)
+    a, b = (m[:, 0] for m in _weights(data, kernel, h, [w]))
     k_mat = h ** (-kernel.dim) * np.outer(a, b)
     y = data.y_filled()
     y = y * (np.abs(y) < tau)
@@ -85,22 +84,17 @@ def variance_dominance(spec: DgpSpec, kernel, rule: BandwidthRule, n_list, reps:
     ratio var_t2/var_t1 should fall with N when unit effects are present."""
     if reps < 50:
         raise ValueError("reps must be >= 50")
+
+    def variances(data, h):
+        parts = hoeffding_decompose(data, kernel, h, tau, w)
+        return parts.var1_hat, parts.var2_hat
+
     rows = []
-    for idx, n in enumerate(n_list):
-        h = bandwidth(rule, n)
-        v1, v2, excluded = [], [], 0
-        for rep in range(reps):
-            rep_seed = int(np.random.SeedSequence(entropy=(seed, idx, rep)).generate_state(1)[0])
-            data = simulate(spec, n, rep_seed)
-            parts = hoeffding_decompose(data, kernel, h, tau, w)
-            if not (np.isfinite(parts.var1_hat) and np.isfinite(parts.var2_hat)):
-                excluded += 1
-                continue
-            v1.append(parts.var1_hat)
-            v2.append(parts.var2_hat)
-        var1 = float(np.mean(v1)) if v1 else math.nan
-        var2 = float(np.mean(v2)) if v2 else math.nan
+    for n, stats in replicate(spec, rule, n_list, reps, seed, variances):
+        kept = [v for v in stats if np.isfinite(v[0]) and np.isfinite(v[1])]
+        var1 = float(np.mean([v1 for v1, _ in kept])) if kept else math.nan
+        var2 = float(np.mean([v2 for _, v2 in kept])) if kept else math.nan
         ratio = var2 / var1 if var1 > 0 else math.inf
         rows.append(DominanceRow(n_units=n, var_t1=var1, var_t2=var2,
-                                 ratio=ratio, n_excluded=excluded))
+                                 ratio=ratio, n_excluded=reps - len(kept)))
     return rows

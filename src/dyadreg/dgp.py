@@ -33,6 +33,9 @@ __all__ = [
     "make_dgp",
     "simulate",
     "simulate_latents",
+    "replication_seed",
+    "replicate",
+    "axes_grid",
     "dyad_moment_bounds",
     "true_g_on_grid",
     "save_dataset",
@@ -46,6 +49,12 @@ _ROLE_X, _ROLE_U, _ROLE_V = 0, 1, 2
 
 def _stream(seed: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(int(seed), role))))
+
+
+def axes_grid(axes) -> np.ndarray:
+    """Cartesian product of 1-d axes as rows (G, len(axes)), last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -282,6 +291,28 @@ def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     return DyadicDataset(x=x, y=y)
 
 
+def replication_seed(seed: int, idx: int, rep: int) -> int:
+    """Seed of replication `rep` at the idx-th sample size of an experiment."""
+    return int(np.random.SeedSequence(entropy=(seed, idx, rep)).generate_state(1)[0])
+
+
+def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic):
+    """Monte Carlo loop: for each N in n_list yields (N, [statistic(data, h)
+    for each of `reps` datasets]) with h = bandwidth(rule, N)."""
+    from .estimator import bandwidth  # estimator imports this module
+
+    for idx, n in enumerate(n_list):
+        h = bandwidth(rule, n)
+        stats = []
+        for rep in range(reps):
+            # `data` keeps the previous dataset alive until the next is drawn. Freeing
+            # it first lets malloc trim the heap and the next draw re-fault it: at
+            # N=800 on 2-core x86-64 Linux, 20x the page faults and 25% slower.
+            data = simulate(spec, n, replication_seed(seed, idx, rep))
+            stats.append(statistic(data, h))
+        yield n, stats
+
+
 # --- assumption diagnostics -------------------------------------------------
 
 
@@ -309,15 +340,13 @@ def dyad_moment_bounds(spec: DgpSpec, mc_reps: int, seed: int, s: float = 4.0,
         raise ValueError("mc_reps must be >= 1000")
     law = spec.regressor_law
     axes = [np.linspace(lo, hi, grid_points) for lo, hi in zip(law.support_lo, law.support_hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (G, d_x)
-    g_count = pts.shape[0]
+    pts = axes_grid(axes)  # (G, d_x)
     rng = _stream(seed, 3)
 
     # pairs (x1, x2) over the grid product
-    i1, i2 = np.meshgrid(np.arange(g_count), np.arange(g_count), indexing="ij")
-    x1 = pts[i1.ravel()]
-    x2 = pts[i2.ravel()]
+    pair = axes_grid([np.arange(len(pts))] * 2)
+    x1 = pts[pair[:, 0]]
+    x2 = pts[pair[:, 1]]
     u1 = rng.standard_normal((mc_reps, 1))
     u2 = rng.standard_normal((mc_reps, 1))
     v12 = rng.standard_normal((mc_reps, 1))
@@ -341,11 +370,9 @@ def dyad_moment_bounds(spec: DgpSpec, mc_reps: int, seed: int, s: float = 4.0,
 
     # triples for B5 on a coarser grid; Y12 and Y13 share U1
     coarse = [ax[:: max(1, len(ax) // 5)] for ax in axes]
-    cmesh = np.meshgrid(*coarse, indexing="ij")
-    cpts = np.stack([m.ravel() for m in cmesh], axis=-1)
-    cg = cpts.shape[0]
-    j1, j2, j3 = np.meshgrid(np.arange(cg), np.arange(cg), np.arange(cg), indexing="ij")
-    x1t, x2t, x3t = cpts[j1.ravel()], cpts[j2.ravel()], cpts[j3.ravel()]
+    cpts = axes_grid(coarse)
+    triple = axes_grid([np.arange(len(cpts))] * 3)
+    x1t, x2t, x3t = cpts[triple[:, 0]], cpts[triple[:, 1]], cpts[triple[:, 2]]
     tu1 = rng.standard_normal((mc_reps, 1))
     tu2 = rng.standard_normal((mc_reps, 1))
     tu3 = rng.standard_normal((mc_reps, 1))
@@ -427,22 +454,41 @@ def save_dataset(data: DyadicDataset, pairs_path: str, meta: dict | None = None)
     return manifest
 
 
+def _data_rows(path: str, width: int):
+    """Rows after the header of a dataset CSV, refusing any without `width` fields."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows, None)
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"{path}: row {row!r} does not have {width} fields")
+            yield row
+
+
 def load_dataset(pairs_path: str):
-    """Inverse of save_dataset; returns (DyadicDataset, manifest dict)."""
+    """Inverse of save_dataset; returns (DyadicDataset, manifest dict). Raises
+    ValueError for an index out of range, a diagonal pair, or a unit or
+    ordered pair i != j that is missing or repeated."""
     pairs_file, units_file, manifest_file = _sibling_paths(pairs_path)
     with open(manifest_file) as fh:
         manifest = json.load(fh)
     n, d = manifest["n_units"], manifest["d_x"]
-    x = np.zeros((n, d))
-    with open(units_file, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            x[int(row[0])] = [float(v) for v in row[1:]]
-    y = np.zeros((n, n))
-    with open(pairs_file, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for row in rd:
-            y[int(row[0]), int(row[1])] = float(row[2])
+    x = np.full((n, d), np.nan)  # NaN marks a cell that no row has filled
+    n_rows = 0
+    for n_rows, row in enumerate(_data_rows(units_file, 1 + d), 1):
+        i = int(row[0])
+        if not 0 <= i < n:
+            raise ValueError(f"{units_file}: unit {i} outside 0..{n - 1}")
+        x[i] = [float(v) for v in row[1:]]
+    if n_rows != n or np.isnan(x).any():
+        raise ValueError(f"{units_file}: expected one row for each of the {n} units")
+    y = np.full((n, n), np.nan)
+    n_rows = 0
+    for n_rows, (i, j, value) in enumerate(_data_rows(pairs_file, 3), 1):
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ValueError(f"{pairs_file}: pair ({i}, {j}) is diagonal or outside 0..{n - 1}")
+        y[i, j] = float(value)
+    if n_rows != n * (n - 1) or np.count_nonzero(np.isnan(y)) != n:
+        raise ValueError(f"{pairs_file}: expected one row for each of the {n * (n - 1)} ordered pairs")
     return DyadicDataset(x=x, y=y), manifest

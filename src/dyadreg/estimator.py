@@ -90,25 +90,22 @@ def a_n_star(n_units: int, h: float, d_x: int, beta: float) -> float:
 # kernel pair averages
 
 
-def _check_dims(data: DyadicDataset, kernel: KernelSpec, h: float):
+def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-unit weights (N, G): A[i, g] = prod_c k((x_ic - w_gc)/h) over the
+    first d_x coordinates of grid point w_g, B[j, g] likewise over the last d_x."""
     if kernel.dim != 2 * data.d_x:
         raise ValueError(f"kernel dim {kernel.dim} != 2 d_x = {2 * data.d_x}")
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-
-
-def _half_weights(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit weight vectors: a_i = prod_c k((x_ic - w_c)/h) over the first
-    d_x coordinates of w, b_j likewise over the last d_x."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (kernel.dim,):
-        raise ValueError(f"evaluation point must have length {kernel.dim}")
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.ndim != 2 or grid.shape[1] != kernel.dim:
+        raise ValueError(f"grid points must have length {kernel.dim}")
     d = data.d_x
-    a = np.ones(data.n_units)
-    b = np.ones(data.n_units)
+    a = np.ones((data.n_units, grid.shape[0]))
+    b = np.ones((data.n_units, grid.shape[0]))
     for c in range(d):
-        a *= kernel.factor.fn((data.x[:, c] - w[c]) / h)
-        b *= kernel.factor.fn((data.x[:, c] - w[d + c]) / h)
+        a *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, c]) / h)
+        b *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, d + c]) / h)
     return a, b
 
 
@@ -116,7 +113,7 @@ def _pair_average(data: DyadicDataset, kernel: KernelSpec, h: float, w,
                   y_matrix: np.ndarray | None) -> float:
     """(1/N(N-1)) sum_{i != j} M_ij K_h(W_ij - w) with M = y_matrix or ones."""
     n = data.n_units
-    a, b = _half_weights(data, kernel, h, w)
+    a, b = (m[:, 0] for m in _weights(data, kernel, h, [w]))
     if y_matrix is None:
         total = a.sum() * b.sum() - float(a @ b)
     else:
@@ -127,14 +124,12 @@ def _pair_average(data: DyadicDataset, kernel: KernelSpec, h: float, w,
 
 def psi_hat(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
     """Kernel-weighted outcome average over ordered pairs."""
-    _check_dims(data, kernel, h)
     return _pair_average(data, kernel, h, w, data.y_filled())
 
 
 def truncated_psi(data: DyadicDataset, kernel: KernelSpec, h: float, tau: float, w) -> float:
     """psi_hat with outcomes zeroed where |Y_ij| >= tau; equals psi_hat once
     tau exceeds max |Y_ij|."""
-    _check_dims(data, kernel, h)
     if not tau > 0:
         raise ValueError("tau must be positive")
     y = data.y_filled()
@@ -144,7 +139,6 @@ def truncated_psi(data: DyadicDataset, kernel: KernelSpec, h: float, tau: float,
 
 def f_hat_w(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
     """Kernel density estimate of f_W at w (outcome-free pair average)."""
-    _check_dims(data, kernel, h)
     return _pair_average(data, kernel, h, w, None)
 
 
@@ -163,17 +157,9 @@ class NwResult:
 def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwResult:
     """Regression estimates over a grid; per-point undefined markers where the
     density estimate falls below the denominator cutoff, never a crash."""
-    _check_dims(data, kernel, h)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[1] != kernel.dim:
-        raise ValueError(f"grid points must have length {kernel.dim}")
-    n, d = data.n_units, data.d_x
-    g_count = grid.shape[0]
-    a = np.ones((n, g_count))
-    b = np.ones((n, g_count))
-    for c in range(d):
-        a *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, c]) / h)
-        b *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, d + c]) / h)
+    a, b = _weights(data, kernel, h, grid)
+    n, g_count = a.shape
     y = data.y_filled()
     scale = h ** (-kernel.dim) / (n * (n - 1))
     num = np.einsum("ng,ng->g", a, y @ b) * scale

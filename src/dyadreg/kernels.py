@@ -98,10 +98,6 @@ class KernelSpec:
     params: tuple = ()
 
     @property
-    def coord_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.factor.fn
-
-    @property
     def coord_support(self) -> float | None:
         return self.factor.support
 

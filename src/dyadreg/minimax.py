@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .dgp import RegressorLaw, uniform_law
+from .dgp import RegressorLaw, _stream, axes_grid, uniform_law
 from .errors import AssumptionViolation, PackingDegenerate
 from .kernels import KernelSpec, make_kernel
 
@@ -165,7 +164,7 @@ def woodbury_sides(sel: SelectionMatrices, k_vec) -> tuple[float, float]:
     def matvec(y):
         return y + sel.t_matvec(sel.t_rmatvec(y))
 
-    op = LinearOperator((dim, dim), matvec=matvec)
+    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
     scale = float(np.linalg.norm(tk))
     z, info = cg(op, tk, rtol=1e-13, atol=1e-16 * max(scale, 1.0), maxiter=200)
     if info != 0:
@@ -231,7 +230,7 @@ class MinimaxConstruction:
                 "increase N or decrease c0"
             )
         axes = [(np.arange(1, m + 1) - 0.5) / m] * self.d_x
-        return np.array([c for c in iter_product(*axes)], dtype=float)
+        return axes_grid(axes)
 
     @property
     def k_at_zero(self) -> float:
@@ -362,7 +361,7 @@ def kl_two_point(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: int
         raise ValueError("kl_two_point requires a two-point construction")
     h, n_h = _check_kl_precondition(con, n_units)
     law = con.regressor_law
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 10))))
+    rng = _stream(seed, 10)
     c1, c2 = con.centers
     scale = con.l_const * h**con.beta / 2.0
     kls = np.empty(mc_reps)
@@ -396,7 +395,7 @@ def fano_kl_average(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: 
     centers = con.fano_centers(n_units)  # raises PackingDegenerate when M < 2
     m_total = len(centers)
     law = con.regressor_law
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 11))))
+    rng = _stream(seed, 11)
     scale = con.l_const * h**con.beta
     rep_means = np.empty(mc_reps)
     for r in range(mc_reps):
@@ -452,8 +451,7 @@ def _fd_partial(g, pts: np.ndarray, s: tuple[int, ...], step: float) -> np.ndarr
         coeffs.append(np.asarray(cf, dtype=float))
     total = np.zeros(pts.shape[0])
     d = pts.shape[1]
-    grids = list(iter_product(*[range(len(o)) for o in offsets[1:]]))
-    for combo in grids:
+    for combo in axes_grid([np.arange(len(o)) for o in offsets[1:]]):
         shift = np.array([offsets[c + 1][combo[c]] for c in range(d)])
         weight = math.prod(coeffs[c + 1][combo[c]] for c in range(d))
         if weight == 0.0:
@@ -482,7 +480,7 @@ def holder_membership_check(g, beta: float, l_const: float, d: int,
         raise ValueError("finite-difference check supports beta <= 4")
     l = holder_floor(beta)
     frac = beta - l
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=(seed, 12))))
+    rng = _stream(seed, 12)
     lo, hi = box
     width = hi - lo
     w = lo + rng.random((n_pairs, d)) * width

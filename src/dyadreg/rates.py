@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import DgpSpec, simulate, true_g_on_grid
-from .estimator import BandwidthRule, bandwidth, nw_estimate
+from .dgp import DgpSpec, axes_grid, replicate, true_g_on_grid
+from .estimator import BandwidthRule, nw_estimate
 from .kernels import make_kernel
 
 __all__ = [
@@ -38,9 +38,7 @@ _DEGENERATE_ERR = 1e-13
 
 
 def product_grid(lo: float, hi: float, steps: int, dim: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, steps)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return axes_grid([np.linspace(lo, hi, steps)] * dim)
 
 
 @dataclass(frozen=True)
@@ -133,12 +131,13 @@ class RateFit:
     invalid_reason: str = ""
 
 
-def _metric_value(errs: np.ndarray, metric: str) -> float:
-    if metric == "median":
-        return float(np.median(errs))
-    if metric == "mean":
-        return float(np.mean(errs))
-    return float(np.sqrt(np.mean(errs**2)))
+def _metric_err(row: RateRow, metric: str) -> float:
+    return {"median": row.median_err, "mean": row.mean_err, "rmse": row.rmse}[metric]
+
+
+def _rate_axis(mode: str, n_list) -> list[float]:
+    """Sample-size axis of the fit: N (pointwise) or N / ln N (sup norm)."""
+    return [float(n) for n in n_list] if mode == "pointwise" else [n / math.log(n) for n in n_list]
 
 
 def run_rate_experiment(exp: RateExperiment) -> RateFit:
@@ -150,30 +149,24 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
         grid = product_grid(exp.grid_lo, exp.grid_hi, exp.grid_steps, 2 * d_x)
     g_true = true_g_on_grid(exp.dgp, grid)
 
+    def max_error(data, h):
+        """(undefined grid points, sup error over the defined ones or None)."""
+        res = nw_estimate(data, kernel, h, grid)
+        if not np.any(res.defined):
+            return res.n_undefined, None
+        return res.n_undefined, float(np.max(np.abs(res.g_hat[res.defined] - g_true[res.defined])))
+
     rows = []
-    per_n_errs = []
     valid = True
     reason = ""
-    for idx, n in enumerate(exp.n_list):
-        h = bandwidth(exp.rule, n)
-        errs = []
-        undefined = 0
-        excluded = 0
-        for rep in range(exp.reps):
-            rep_seed = int(np.random.SeedSequence(entropy=(exp.seed, idx, rep)).generate_state(1)[0])
-            data = simulate(exp.dgp, n, rep_seed)
-            res = nw_estimate(data, kernel, h, grid)
-            undefined += res.n_undefined
-            if not np.any(res.defined):
-                excluded += 1
-                continue
-            diff = np.abs(res.g_hat[res.defined] - g_true[res.defined])
-            errs.append(float(np.max(diff)))
+    for n, stats in replicate(exp.dgp, exp.rule, exp.n_list, exp.reps, exp.seed, max_error):
+        undefined = sum(u for u, _ in stats)
+        errs = np.asarray([e for _, e in stats if e is not None])
+        excluded = exp.reps - errs.size
         frac_undef = undefined / (exp.reps * grid.shape[0])
         if frac_undef > 0.10:
             valid = False
             reason = f"{frac_undef:.1%} undefined grid evaluations at N={n}"
-        errs = np.asarray(errs)
         if errs.size == 0:
             valid = False
             reason = f"all replications undefined at N={n}"
@@ -187,9 +180,8 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
             n_undefined=undefined,
             n_excluded_reps=excluded,
         ))
-        per_n_errs.append(errs)
 
-    metric_errs = [_metric_value(e, exp.metric) for e in per_n_errs]
+    metric_errs = [_metric_err(r, exp.metric) for r in rows]
     degenerate = any(not math.isfinite(me) or me < _DEGENERATE_ERR for me in metric_errs)
     theory = -exp.dgp.holder.beta / (2.0 * exp.dgp.holder.beta + d_x)
     foil_dw = -exp.dgp.holder.beta / (2.0 * exp.dgp.holder.beta + 2.0 * d_x)
@@ -198,11 +190,7 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
                        theory_exponent=theory, foil_vs_n=math.nan, foil_vs_dw=foil_dw,
                        mode=exp.mode, metric=exp.metric, valid=valid,
                        degenerate=True, invalid_reason=reason or "errors at machine scale")
-    if exp.mode == "pointwise":
-        xs = [float(n) for n in exp.n_list]
-    else:
-        xs = [n / math.log(n) for n in exp.n_list]
-    fit = fit_exponent(list(zip(xs, metric_errs)))
+    fit = fit_exponent(list(zip(_rate_axis(exp.mode, exp.n_list), metric_errs)))
     foil_fit = fit_exponent([(n * (n - 1), me) for n, me in zip(exp.n_list, metric_errs)])
     return RateFit(rows=tuple(rows), slope=fit.slope, slope_se=fit.se, r2=fit.r2,
                    theory_exponent=theory, foil_vs_n=foil_fit.slope, foil_vs_dw=foil_dw,
@@ -233,39 +221,40 @@ def rate_rows_csv(fit: RateFit) -> str:
 
 
 def rate_fit_json(fit: RateFit) -> str:
+    def num(v: float) -> float | None:
+        return v if math.isfinite(v) else None   # strict JSON has no NaN or Infinity
+
     payload = {
         "mode": fit.mode,
         "metric": fit.metric,
-        "slope": fit.slope,
-        "slope_se": fit.slope_se,
-        "r2": fit.r2,
-        "theory_exponent": fit.theory_exponent,
-        "foil_vs_n": fit.foil_vs_n,
-        "foil_vs_dw": fit.foil_vs_dw,
+        "slope": num(fit.slope),
+        "slope_se": num(fit.slope_se),
+        "r2": num(fit.r2),
+        "theory_exponent": num(fit.theory_exponent),
+        "foil_vs_n": num(fit.foil_vs_n),
+        "foil_vs_dw": num(fit.foil_vs_dw),
         "valid": fit.valid,
         "degenerate": fit.degenerate,
         "invalid_reason": fit.invalid_reason,
         "rows": [
             {
                 "n": r.n_units,
-                "median_err": r.median_err,
-                "mean_err": r.mean_err,
-                "rmse": r.rmse,
-                "sd": r.sd,
+                "median_err": num(r.median_err),
+                "mean_err": num(r.mean_err),
+                "rmse": num(r.rmse),
+                "sd": num(r.sd),
                 "n_undefined": r.n_undefined,
                 "n_excluded_reps": r.n_excluded_reps,
             }
             for r in fit.rows
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def plot_data(fit: RateFit, n_list) -> str:
     """Two-column (ln n_value, ln err) text for external plotting."""
-    xs = [float(n) for n in n_list] if fit.mode == "pointwise" else [n / math.log(n) for n in n_list]
     lines = []
-    for x, r in zip(xs, fit.rows):
-        err = {"median": r.median_err, "mean": r.mean_err, "rmse": r.rmse}[fit.metric]
-        lines.append(f"{math.log(x)!r} {math.log(err)!r}")
+    for x, r in zip(_rate_axis(fit.mode, n_list), fit.rows):
+        lines.append(f"{math.log(x)!r} {math.log(_metric_err(r, fit.metric))!r}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,10 @@ point, so they share no code path with the factorized production estimators.
 import numpy as np
 import pytest
 
+from dyadreg.dgp import make_dgp
+from dyadreg.estimator import BandwidthRule
 from dyadreg.kernels import eval_kernel
+from dyadreg.rates import RateExperiment, run_rate_experiment
 
 
 def naive_pair_average(data, kernel, h, w, use_y=True, tau=None):
@@ -49,3 +52,16 @@ def naive_nw(data, kernel, h, w):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def pointwise_rate_fit():
+    """The pointwise rate experiment behind acceptance criteria 2 and 4 and
+    the d_W discrimination test; run once per session."""
+    exp = RateExperiment(
+        dgp=make_dgp("theorem1", "sin_additive"),
+        kernel_id="gaussian",
+        rule=BandwidthRule("pointwise-optimal", 0.5, beta=2.0, d_x=1),
+        mode="pointwise", n_list=(50, 100, 200, 400, 800), reps=200, seed=7,
+        w0=(0.5, 0.5), metric="rmse")
+    return run_rate_experiment(exp)

@@ -11,13 +11,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import naive_f_hat, naive_nw, naive_psi_hat
 
 from dyadreg.cli import main
 from dyadreg.decomposition import variance_dominance
-from dyadreg.dgp import make_dgp, simulate
+from dyadreg.dgp import make_dgp, replicate, simulate
 from dyadreg.errors import TruncationInfeasible
 from dyadreg.estimator import (BandwidthRule, TruncationRule, bandwidth, f_hat_w,
                                nw_estimate, psi_hat, truncated_psi,
@@ -72,17 +71,6 @@ def test_criterion_1_oracle_equivalence():
 # --- criteria 2 and 4: pointwise rate and effective sample size -------------
 
 
-@pytest.fixture(scope="module")
-def pointwise_rate_fit():
-    exp = RateExperiment(
-        dgp=make_dgp("theorem1", "sin_additive"),
-        kernel_id="gaussian",
-        rule=BandwidthRule("pointwise-optimal", 0.5, beta=2.0, d_x=1),
-        mode="pointwise", n_list=(50, 100, 200, 400, 800), reps=200, seed=7,
-        w0=(0.5, 0.5), metric="rmse")
-    return run_rate_experiment(exp)
-
-
 def test_criterion_2_pointwise_rate(pointwise_rate_fit):
     fit = pointwise_rate_fit
     ok = -0.50 <= fit.slope <= -0.30 and fit.valid and not fit.degenerate
@@ -121,12 +109,9 @@ def test_criterion_5_variance_bound():
     rule = BandwidthRule("pointwise-optimal", 1.0, beta=2.0, d_x=1)
     points = []
     scaled = []
-    for idx, n in enumerate((50, 100, 200, 400)):
+    for n, vals in replicate(spec, rule, (50, 100, 200, 400), 500, 0,
+                             lambda data, h: psi_hat(data, kernel, h, W0)):
         h = bandwidth(rule, n)
-        vals = np.empty(500)
-        for rep in range(500):
-            seed = int(np.random.SeedSequence(entropy=(0, idx, rep)).generate_state(1)[0])
-            vals[rep] = psi_hat(simulate(spec, n, seed), kernel, h, W0)
         var = float(np.var(vals, ddof=1))
         points.append((n * h, var))
         scaled.append(var * n * h)

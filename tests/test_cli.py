@@ -68,6 +68,43 @@ def test_config_error_exits_2(tmp_path):
     assert not os.path.exists(est)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "1", "--seed", "1", "--out", "{d}/o.csv"],
+    ["simulate", "--n", "20", "--g", "bogus", "--seed", "1", "--out", "{d}/o.csv"],
+    ["diagnose", "--n", "50,100", "--reps", "10", "--w", "0.5,0.5", "--out", "{d}/o.csv"],
+    ["estimate", "--data", "{d}/d.csv", "--bandwidth", "fixed:-1", "--grid", "0.2:0.8:9",
+     "--out", "{d}/o.csv"],
+    ["estimate", "--data", "{d}/missing.csv", "--grid", "0.2:0.8:9", "--out", "{d}/o.csv"],
+    ["rates", "--config", "{d}/d_x.cfg"],
+], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
+        "estimate-missing-file", "rates-d_x-1.5"])
+def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
+    d = str(tmp_path)
+    assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
+    (tmp_path / "d_x.cfg").write_text("dgp.d_x = 1.5\nn_list = 10,20,40,80\nreps = 50\n"
+                                      f"w0 = 0.5,0.5\nout.prefix = {d}/r\n")
+    before = sorted(os.listdir(d))
+    capsys.readouterr()
+    assert main([a.format(d=d) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert sorted(os.listdir(d)) == before
+
+
+def test_truncated_dataset_refused(tmp_path):
+    out = str(tmp_path / "d.csv")
+    assert main(["simulate", "--n", "20", "--seed", "1", "--out", out]) == 0
+    with open(out) as fh:
+        lines = fh.read().splitlines()
+    with open(out, "w") as fh:
+        fh.write("\n".join(lines[:-50]) + "\n")
+    with pytest.raises(ValueError, match="one row for each"):
+        load_dataset(out)
+    est = str(tmp_path / "est.csv")
+    assert main(["estimate", "--data", out, "--grid", "0.2:0.8:3", "--out", est]) == 2
+    assert not os.path.exists(est)
+
+
 def test_rates_config_unknown_key_exits_2(tmp_path):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("n_list = 10,20,40,80\nreps = 50\nout.prefix = x\nbogus.key = 1\nw0 = 0.5,0.5\n")

@@ -200,6 +200,31 @@ def test_roundtrip_persistence_exact(tmp_path):
     assert manifest["format"] == "dyadreg-dataset-v1"
 
 
+# each edit keeps the header line and breaks the one-row-per-index rule
+_CORRUPTIONS = {
+    "pairs missing": ("d.csv", lambda rows: rows[:-50]),
+    "pairs header only": ("d.csv", lambda rows: []),
+    "pairs duplicate": ("d.csv", lambda rows: rows[:-1] + [rows[1]]),
+    "pairs diagonal": ("d.csv", lambda rows: rows[:-1] + ["3,3,0.5"]),
+    "pairs out of range": ("d.csv", lambda rows: rows[:-1] + ["0,20,0.5"]),
+    "units missing": ("d.units.csv", lambda rows: rows[:-1]),
+    "units duplicate": ("d.units.csv", lambda rows: rows[:-1] + [rows[1]]),
+    "units out of range": ("d.units.csv", lambda rows: rows[:-1] + ["-1,0.5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+def test_load_refuses_incomplete_or_repeated_rows(tmp_path, case):
+    name, corrupt = _CORRUPTIONS[case]
+    path = str(tmp_path / "d.csv")
+    save_dataset(simulate(make_dgp("theorem1", "sin_additive"), 20, 1), path)
+    target = tmp_path / name
+    header, *rows = target.read_text().splitlines()
+    target.write_text("\n".join([header] + corrupt(rows)) + "\n")
+    with pytest.raises(ValueError, match=name):
+        load_dataset(path)
+
+
 def test_holder_function_wrapping_shipped_regressions():
     from dyadreg.dgp import REGRESSION_FUNCS, HolderFunction
 

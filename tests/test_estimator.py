@@ -5,7 +5,7 @@ import pytest
 
 from conftest import naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat
 
-from dyadreg.dgp import DyadicDataset, make_dgp, simulate
+from dyadreg.dgp import DyadicDataset, make_dgp, replication_seed, simulate
 from dyadreg.errors import TruncationInfeasible
 from dyadreg.estimator import (BandwidthRule, TruncationRule, a_n, a_n_star, bandwidth,
                                f_hat_w, nw_estimate, psi_hat, truncated_psi,
@@ -250,8 +250,7 @@ def test_bias_shrinks_at_order_h_to_beta():
     for h in (0.12, 0.17, 0.24, 0.34):
         vals = []
         for rep in range(150):
-            seed = int(np.random.SeedSequence(entropy=(55, int(h * 1000), rep)).generate_state(1)[0])
-            res = nw_estimate(simulate(spec, 300, seed), k, h, w0)
+            res = nw_estimate(simulate(spec, 300, replication_seed(55, int(h * 1000), rep)), k, h, w0)
             if res.defined[0]:
                 vals.append(res.g_hat[0])
         pts.append((h, abs(float(np.mean(vals)) - g_true)))

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -63,6 +64,10 @@ def test_golden_experiment_regression():
     assert refit.slope == pytest.approx(g["slope"], abs=1e-9)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def test_noiseless_constant_flagged_degenerate():
     exp = RateExperiment(
         dgp=make_dgp("noiseless", "constant"), kernel_id="gaussian",
@@ -72,6 +77,8 @@ def test_noiseless_constant_flagged_degenerate():
     fit = run_rate_experiment(exp)
     assert fit.degenerate
     assert math.isnan(fit.slope)
+    payload = json.loads(rate_fit_json(fit), parse_constant=_refuse_constant)
+    assert payload["slope"] is None and payload["r2"] is None
 
 
 def test_experiment_validation():
@@ -125,16 +132,11 @@ def test_rate_fit_serialization_deterministic():
     assert rate_rows_csv(f1) == rate_rows_csv(f2)
 
 
-def test_dimension_discrimination():
+def test_dimension_discrimination(pointwise_rate_fit):
     # d_X = 1 (so d_W = 2): the fitted exponent should sit near -beta/(2beta+1)
     # = -0.4, not the naive d_W value -beta/(2beta+2) = -1/3, with a CI tight
     # enough to separate them (half-width < 0.033) or be flagged inconclusive
-    exp = RateExperiment(
-        dgp=make_dgp("theorem1", "sin_additive"), kernel_id="gaussian",
-        rule=BandwidthRule("pointwise-optimal", 0.5, 2.0, 1),
-        mode="pointwise", n_list=(50, 100, 200, 400, 800), reps=200, seed=7,
-        w0=(0.5, 0.5), metric="rmse")
-    fit = run_rate_experiment(exp)
+    fit = pointwise_rate_fit
     half_width = 2.0 * fit.slope_se
     if half_width >= 0.033:
         pytest.skip(f"slope CI half-width {half_width:.3f} too wide to discriminate")
