@@ -19,10 +19,11 @@ import numpy as np
 
 from . import __version__
 from .decomposition import variance_dominance
-from .dgp import DGP_KINDS, _stream, axes_grid, load_dataset, make_dgp, save_dataset, simulate
+from .dgp import (DGP_KINDS, _sibling_paths, _stream, atomic_open, axes_grid, load_dataset,
+                  make_dgp, read_manifest, save_dataset, simulate)
 from .errors import AssumptionViolation, ConfigError
 from .estimator import BandwidthRule, bandwidth, nw_estimate
-from .kernels import KERNEL_IDS, make_kernel
+from .kernels import make_kernel
 from .minimax import (fano_kl_average, holder_membership_check, hypothesis_g,
                       kl_two_point, make_fano, make_two_point, separation_check,
                       build_selection, woodbury_gap)
@@ -32,29 +33,19 @@ from .rates import (RateExperiment, plot_data, rate_fit_json, rate_rows_csv,
 __all__ = ["main"]
 
 
-def _atomic_write(path: str, text: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-
-
 def _write_run_manifest(subcommand: str, config: dict, outputs: list[str]):
     if not outputs:
         return
     manifest = {
         "subcommand": subcommand,
-        "config_hash": _config_hash(config),
+        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "seed": config.get("seed"),
         "artifact_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [os.path.abspath(p) for p in outputs],
     }
-    _atomic_write(outputs[0] + ".run.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_open(outputs[0] + ".run.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_bandwidth(text: str, beta: float, d_x: int) -> BandwidthRule:
@@ -82,6 +73,14 @@ def _spec(args):
         raise ConfigError(str(exc)) from None
 
 
+def _kernel(kernel_id: str, dim: int, key: str):
+    """The kernel that option `key` names."""
+    try:
+        return make_kernel(kernel_id, dim)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -92,8 +91,7 @@ def _cmd_simulate(args) -> list[str]:
     meta = {"dgp": args.dgp, "g": args.g, "law": args.law, "d_x": args.d_x,
             "seed": args.seed, "n_units": args.n}
     save_dataset(data, args.out, meta=meta)
-    base, _ = os.path.splitext(args.out)
-    return [args.out, base + ".units.csv", base + ".manifest.json"]
+    return list(_sibling_paths(args.out))
 
 
 # --- estimate ----------------------------------------------------------------
@@ -121,26 +119,27 @@ def _parse_grid(text: str, dim: int) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> list[str]:
+    # flags are checked against the manifest before the pairs file, the slow part, is read
     try:
+        manifest = read_manifest(args.data)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--data: {exc}") from None
+    d_x = manifest["d_x"]
+    kernel = _kernel(args.kernel, 2 * d_x, "--kernel")
+    rule = _parse_bandwidth(args.bandwidth, args.beta, d_x)
+    grid = _parse_grid(args.grid, 2 * d_x)
+    try:
+        h = bandwidth(rule, manifest["n_units"])
         data, _manifest = load_dataset(args.data)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--data: {exc}") from None
-    if args.kernel not in KERNEL_IDS:
-        raise ConfigError(f"kernel {args.kernel!r} unknown; known: {', '.join(KERNEL_IDS)}")
-    kernel = make_kernel(args.kernel, 2 * data.d_x)
-    rule = _parse_bandwidth(args.bandwidth, args.beta, data.d_x)
-    h = bandwidth(rule, data.n_units)
-    grid = _parse_grid(args.grid, 2 * data.d_x)
     res = nw_estimate(data, kernel, h, grid)
-    header = [f"w_{c + 1}" for c in range(2 * data.d_x)] + ["f_hat", "g_hat", "defined"]
-    lines = [",".join(header)]
-    for i in range(grid.shape[0]):
-        cells = [repr(float(v)) for v in grid[i]]
-        cells.append(repr(float(res.f_hat[i])))
-        cells.append(repr(float(res.g_hat[i])) if res.defined[i] else "")
-        cells.append("1" if res.defined[i] else "0")
-        lines.append(",".join(cells))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    with atomic_open(args.out) as fh:
+        fh.write(",".join([f"w_{c + 1}" for c in range(2 * d_x)] + ["f_hat", "g_hat", "defined"]) + "\n")
+        for w, f, g, ok in zip(grid, res.f_hat, res.g_hat, res.defined):
+            cells = [repr(float(v)) for v in w] + [repr(float(f))]
+            cells += [repr(float(g)), "1"] if ok else ["", "0"]
+            fh.write(",".join(cells) + "\n")
     return [args.out]
 
 
@@ -190,9 +189,6 @@ def _cmd_rates(args) -> list[str]:
     d_x = value("dgp.d_x", int, "1")
     beta = value("dgp.beta", float, "2.0")
     l_const = value("dgp.l", float, "5.0")
-    kernel_id = cfg.get("kernel", "gaussian")
-    if kernel_id not in KERNEL_IDS:
-        raise ConfigError(f"kernel: {kernel_id!r} unknown; known: {', '.join(KERNEL_IDS)}")
     try:
         spec = make_dgp(cfg.get("dgp.kind", "theorem1"), g_name=cfg.get("dgp.g", "sin_additive"),
                         d_x=d_x, law=cfg.get("dgp.law", "uniform"), beta=beta, l_const=l_const)
@@ -205,7 +201,7 @@ def _cmd_rates(args) -> list[str]:
                              c0=value("bandwidth.c0", float, "1.0"), beta=beta, d_x=d_x)
         exp = RateExperiment(
             dgp=spec,
-            kernel_id=kernel_id,
+            kernel_id=cfg.get("kernel", "gaussian"),
             rule=rule,
             mode=mode,
             n_list=_parse_list(value("n_list"), "n_list", int),
@@ -221,33 +217,34 @@ def _cmd_rates(args) -> list[str]:
         raise ConfigError(str(exc)) from None
     fit = run_rate_experiment(exp)
     prefix = value("out.prefix")
-    csv_path, json_path, plot_path = prefix + ".csv", prefix + ".fit.json", prefix + ".plot.dat"
-    _atomic_write(csv_path, rate_rows_csv(fit))
-    _atomic_write(json_path, rate_fit_json(fit))
-    _atomic_write(plot_path, plot_data(fit, exp.n_list))
-    return [csv_path, json_path, plot_path]
+    outputs = [prefix + ".csv", prefix + ".fit.json", prefix + ".plot.dat"]
+    for path, render in zip(outputs, (rate_rows_csv, rate_fit_json, plot_data)):
+        with atomic_open(path) as fh:
+            fh.write(render(fit))
+    return outputs
 
 
 # --- minimax -----------------------------------------------------------------
 
 
 def _cmd_minimax(args) -> list[str]:
+    n_list = _parse_list(args.n, "--n", int)
+    if args.reps < 2 or min(n_list) < 2:
+        raise ConfigError(f"need --reps >= 2 and every --n >= 2, got --reps {args.reps} --n {args.n}")
     reports = []
-    for n in _parse_list(args.n, "--n", int):
+    for n in n_list:
         if args.variant == "two-point":
             con = make_two_point(args.beta, args.l, args.c0, args.d_x, n)
             kl = kl_two_point(con, n, args.reps, args.seed)
             centers_grid = np.concatenate([np.concatenate(con.centers)[None, :],
                                            np.tile(con.centers[0], 2)[None, :]])
             sep = separation_check(con, 1, 0, centers_grid, n)
-        elif args.variant == "fano":
+        else:
             con = make_fano(args.beta, args.l, args.c0, args.d_x, n)
             kl = fano_kl_average(con, n, args.reps, args.seed)
             centers = con.fano_centers(n)
             grid = np.hstack([centers, centers])
             sep = separation_check(con, 1, 2, grid, n)
-        else:
-            raise ConfigError(f"unknown variant {args.variant!r}")
         h = con.h_n(n)
         g1 = lambda w: hypothesis_g(con, 1, w, n)
         hold = holder_membership_check(g1, args.beta, args.l, 2 * args.d_x,
@@ -263,25 +260,22 @@ def _cmd_minimax(args) -> list[str]:
             "holder_pass": hold.passed,
             "holder_max_ratio": hold.max_violation_ratio,
             "woodbury_max_gap": max(gaps),
+            "kl_se": kl.kl_se,
         }
         if args.variant == "two-point":
-            body["kl_mean"] = kl.kl_mean
-            body["kl_se"] = kl.kl_se
-            body["kl_within_bound"] = kl.kl_mean <= kl.bound + 3.0 * kl.kl_se
+            mean = body["kl_mean"] = kl.kl_mean
         else:
-            body["avg_kl"] = kl.avg_kl
-            body["kl_se"] = kl.kl_se
-            body["alpha_implied"] = kl.alpha_implied
-            body["ln_m_n"] = kl.ln_m_n
-            body["ln_m_lower"] = kl.ln_m_lower
-            body["n_hypotheses"] = kl.n_hypotheses
-            body["kl_within_bound"] = kl.avg_kl <= kl.bound + 3.0 * kl.kl_se
+            mean = body["avg_kl"] = kl.avg_kl
+            body.update(alpha_implied=kl.alpha_implied, ln_m_n=kl.ln_m_n, ln_m_lower=kl.ln_m_lower,
+                        n_hypotheses=kl.n_hypotheses)
+        body["kl_within_bound"] = mean <= kl.bound + 3.0 * kl.kl_se
         reports.append(body)
     text = json.dumps({"variant": args.variant, "beta": args.beta, "l": args.l,
                        "c0": args.c0, "d_x": args.d_x, "seed": args.seed,
-                       "reports": reports}, indent=2, sort_keys=True) + "\n"
+                       "reports": reports}, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        with atomic_open(args.out) as fh:
+            fh.write(text)
         return [args.out]
     sys.stdout.write(text)
     return []
@@ -295,19 +289,16 @@ def _cmd_diagnose(args) -> list[str]:
     n_list = _parse_list(args.n, "--n", int)
     if args.reps < 50 or min(n_list) < 3:
         raise ConfigError(f"need --reps >= 50 and every --n >= 3, got --reps {args.reps} --n {args.n}")
-    kernel_id = args.kernel
-    if kernel_id not in KERNEL_IDS:
-        raise ConfigError(f"kernel {kernel_id!r} unknown; known: {', '.join(KERNEL_IDS)}")
-    kernel = make_kernel(kernel_id, 2 * args.d_x)
+    kernel = _kernel(args.kernel, 2 * args.d_x, "--kernel")
     rule = _parse_bandwidth(args.bandwidth, args.beta, args.d_x)
     w = np.asarray(_parse_list(args.w, "--w", float))
     if w.shape != (2 * args.d_x,):
         raise ConfigError(f"--w must have {2 * args.d_x} coordinates")
     rows = variance_dominance(spec, kernel, rule, n_list, args.reps, w, args.seed)
-    lines = ["n,var_t1,var_t2,ratio,n_excluded"]
-    for r in rows:
-        lines.append(f"{r.n_units},{r.var_t1!r},{r.var_t2!r},{r.ratio!r},{r.n_excluded}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    with atomic_open(args.out) as fh:
+        fh.write("n,var_t1,var_t2,ratio,n_excluded\n")
+        for r in rows:
+            fh.write(f"{r.n_units},{r.var_t1!r},{r.var_t2!r},{r.ratio!r},{r.n_excluded}\n")
     return [args.out]
 
 

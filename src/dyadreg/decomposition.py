@@ -46,11 +46,8 @@ def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) ->
     n = data.n_units
     a, b = (m[:, 0] for m in _weights(data, kernel, h, [w]))
     k_mat = h ** (-kernel.dim) * np.outer(a, b)
-    y = data.y_filled()
-    y = y * (np.abs(y) < tau)
-    m = y * k_mat
-    z = 0.5 * (m + m.T)           # symmetric; Z_ij for unordered pairs
-    np.fill_diagonal(z, 0.0)
+    m = data.y * (np.abs(data.y) < tau) * k_mat
+    z = 0.5 * (m + m.T)           # symmetric; Z_ij for unordered pairs, zero diagonal
     n_pairs = n * (n - 1) // 2
     statistic = float(np.sum(z) / 2.0 / n_pairs)
     mean_term = statistic

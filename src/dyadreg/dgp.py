@@ -9,10 +9,12 @@ bit-identical given (spec, n_units, seed).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+import secrets
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +40,9 @@ __all__ = [
     "axes_grid",
     "dyad_moment_bounds",
     "true_g_on_grid",
+    "atomic_open",
     "save_dataset",
+    "read_manifest",
     "load_dataset",
     "REGRESSION_FUNCS",
     "DGP_KINDS",
@@ -155,30 +159,28 @@ class DgpSpec:
 
 @dataclass
 class DyadicDataset:
-    """Regressors x (N x d_x) and directed outcomes y (N x N, NaN diagonal).
+    """Regressors x (N x d_x) and directed outcomes y (N x N, zero diagonal).
 
-    The diagonal holds structural zeros; it is stored as NaN so that any
-    consumer reading it poisons its output instead of silently using it.
-    """
+    Y_ii is not data. The dataset owns a C-ordered copy of y whose diagonal
+    is 0.0, whatever the caller put there: the structural zero of the sums
+    over pairs i != j, so estimators contract y as it is."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        self.y = np.array(self.y, dtype=float, order="C")
         n = self.x.shape[0]
         if self.x.ndim != 2 or n < 2:
             raise ValueError("x must be (N, d_x) with N >= 2")
         if self.y.shape != (n, n):
             raise ValueError(f"y must be ({n}, {n}), got {self.y.shape}")
-        off = ~np.eye(n, dtype=bool)
-        if not np.all(np.isfinite(self.y[off])):
+        np.fill_diagonal(self.y, 0.0)
+        if not np.isfinite(self.y).all():
             raise ValueError("off-diagonal outcomes must be finite")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("regressors must be finite")
-        self.y = self.y.copy()
-        np.fill_diagonal(self.y, np.nan)
 
     @property
     def n_units(self) -> int:
@@ -218,18 +220,18 @@ DGP_KINDS = ("theorem1", "sigmoid_graphon", "threshold_graphon", "noiseless")
 def make_dgp(kind: str, g_name: str = "sin_additive", d_x: int = 1,
              law: str = "uniform", beta: float = 2.0, l_const: float = 5.0) -> DgpSpec:
     """Shipped data-generating processes, addressable from config files."""
-    reg_law = uniform_law(d_x) if law == "uniform" else truncnorm_law(d_x)
     if law not in ("uniform", "truncnorm"):
         raise ValueError(f"unknown regressor law {law!r}")
+    if d_x < 1:
+        raise ValueError(f"d_x must be >= 1, got {d_x}")
+    if kind in ("theorem1", "noiseless") and g_name not in REGRESSION_FUNCS:
+        raise ValueError(f"unknown regression function {g_name!r}; known: {', '.join(sorted(REGRESSION_FUNCS))}")
+    reg_law = uniform_law(d_x) if law == "uniform" else truncnorm_law(d_x)
     holder = HolderInfo(beta=beta, l_const=l_const)
     if kind == "theorem1":
-        if g_name not in REGRESSION_FUNCS:
-            raise ValueError(f"unknown regression function {g_name!r}; known: {', '.join(sorted(REGRESSION_FUNCS))}")
         return DgpSpec(kind="gaussian-regression", name=f"theorem1:{g_name}",
                        regressor_law=reg_law, holder=holder, g=REGRESSION_FUNCS[g_name])
     if kind == "noiseless":
-        if g_name not in REGRESSION_FUNCS:
-            raise ValueError(f"unknown regression function {g_name!r}")
         g = REGRESSION_FUNCS[g_name]
         return DgpSpec(kind="graphon", name=f"noiseless:{g_name}", regressor_law=reg_law,
                        holder=holder, graphon=lambda x1, x2, u1, u2, v: g(x1, x2),
@@ -283,11 +285,10 @@ def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     x1 = x[:, None, :]
     x2 = x[None, :, :]
     if spec.kind == "gaussian-regression":
-        y = spec.g(x1, x2) + u[:, None] + u[None, :] + v
+        y = spec.g(x1, x2) + u[:, None] + u[None, :]  # a fresh (N, N) array
+        y += v
     else:
         y = spec.graphon(x1, x2, u[:, None], u[None, :], v)
-    y = np.asarray(y, dtype=float)
-    np.fill_diagonal(y, 0.0)  # placeholder; DyadicDataset re-marks it NaN
     return DyadicDataset(x=x, y=y)
 
 
@@ -422,20 +423,36 @@ def _sibling_paths(pairs_path: str):
     return pairs_path, base + ".units.csv", base + ".manifest.json"
 
 
-def save_dataset(data: DyadicDataset, pairs_path: str, meta: dict | None = None) -> dict:
-    """Write pair-list CSV (i,j,y), unit CSV (i,x_1..x_d), and a JSON manifest.
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text handle on a new temporary file beside `path` that replaces `path`
+    in one step when the block ends, or is removed if the block raises."""
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f"{name}.{secrets.token_hex(8)}.tmp")
+    # as tempfile.mkstemp does, but 0o666: the umask, not mkstemp's 0o600, sets path's mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
-    Floats are written with repr so the round trip is exact."""
+
+def save_dataset(data: DyadicDataset, pairs_path: str, meta: dict | None = None) -> dict:
+    """Write pair-list CSV (i,j,y), unit CSV (i,x_1..x_d), and a JSON manifest,
+    each atomically. Floats are written with repr so the round trip is exact."""
     pairs_file, units_file, manifest_file = _sibling_paths(pairs_path)
     n, d = data.n_units, data.d_x
-    with open(pairs_file, "w", newline="") as fh:
+    with atomic_open(pairs_file) as fh:
         wr = csv.writer(fh)
         wr.writerow(["i", "j", "y"])
         for i in range(n):
             for j in range(n):
                 if i != j:
                     wr.writerow([i, j, repr(float(data.y[i, j]))])
-    with open(units_file, "w", newline="") as fh:
+    with atomic_open(units_file) as fh:
         wr = csv.writer(fh)
         wr.writerow(["i"] + [f"x_{c + 1}" for c in range(d)])
         for i in range(n):
@@ -448,7 +465,7 @@ def save_dataset(data: DyadicDataset, pairs_path: str, meta: dict | None = None)
         "units_file": os.path.basename(units_file),
         "meta": meta or {},
     }
-    with open(manifest_file, "w") as fh:
+    with atomic_open(manifest_file) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -465,13 +482,24 @@ def _data_rows(path: str, width: int):
             yield row
 
 
+def read_manifest(pairs_path: str) -> dict:
+    """The JSON manifest save_dataset wrote beside `pairs_path`. Raises
+    ValueError unless it states integers n_units >= 2 and d_x >= 1."""
+    with open(_sibling_paths(pairs_path)[2]) as fh:
+        manifest = json.load(fh)
+    fields = manifest if isinstance(manifest, dict) else {}
+    n, d = fields.get("n_units"), fields.get("d_x")
+    if not (isinstance(n, int) and isinstance(d, int) and n >= 2 and d >= 1):
+        raise ValueError(f"{pairs_path}: manifest must state integers n_units >= 2 and d_x >= 1")
+    return manifest
+
+
 def load_dataset(pairs_path: str):
     """Inverse of save_dataset; returns (DyadicDataset, manifest dict). Raises
     ValueError for an index out of range, a diagonal pair, or a unit or
     ordered pair i != j that is missing or repeated."""
-    pairs_file, units_file, manifest_file = _sibling_paths(pairs_path)
-    with open(manifest_file) as fh:
-        manifest = json.load(fh)
+    pairs_file, units_file, _ = _sibling_paths(pairs_path)
+    manifest = read_manifest(pairs_path)
     n, d = manifest["n_units"], manifest["d_x"]
     x = np.full((n, d), np.nan)  # NaN marks a cell that no row has filled
     n_rows = 0

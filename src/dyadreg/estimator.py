@@ -124,7 +124,7 @@ def _pair_average(data: DyadicDataset, kernel: KernelSpec, h: float, w,
 
 def psi_hat(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
     """Kernel-weighted outcome average over ordered pairs."""
-    return _pair_average(data, kernel, h, w, data.y_filled())
+    return _pair_average(data, kernel, h, w, data.y)
 
 
 def truncated_psi(data: DyadicDataset, kernel: KernelSpec, h: float, tau: float, w) -> float:
@@ -132,9 +132,7 @@ def truncated_psi(data: DyadicDataset, kernel: KernelSpec, h: float, tau: float,
     tau exceeds max |Y_ij|."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    y = data.y_filled()
-    y = y * (np.abs(y) < tau)
-    return _pair_average(data, kernel, h, w, y)
+    return _pair_average(data, kernel, h, w, data.y * (np.abs(data.y) < tau))
 
 
 def f_hat_w(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
@@ -160,9 +158,8 @@ def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwRe
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     a, b = _weights(data, kernel, h, grid)
     n, g_count = a.shape
-    y = data.y_filled()
     scale = h ** (-kernel.dim) / (n * (n - 1))
-    num = np.einsum("ng,ng->g", a, y @ b) * scale
+    num = np.einsum("ng,ng->g", a, data.y @ b) * scale
     den = (a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)) * scale
     eps_denom = 1e-12 * kernel.k_max * h ** (-kernel.dim)
     defined = den > eps_denom

@@ -38,6 +38,8 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _PHI_MAX = 1.0 / _SQRT_2PI
 _INF_RADIUS = 16.0  # integration radius for unbounded factors; tails < 1e-40
+_POINTS_PER_PANEL = 24  # Gauss-Legendre nodes per quadrature panel
+_INITIAL_PANELS = 8     # panels per segment before the first doubling
 
 KERNEL_IDS = ("gaussian", "epanechnikov", "boxcar", "bump", "gaussian_o4", "gaussian_o6")
 
@@ -45,8 +47,6 @@ KERNEL_IDS = ("gaussian", "epanechnikov", "boxcar", "bump", "gaussian_o4", "gaus
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-8
-    points_per_panel: int = 24
-    initial_panels: int = 8
     max_doublings: int = 10
 
 
@@ -146,14 +146,10 @@ def dominating_kernel(spec: KernelSpec, u) -> float:
 # 1-d quadrature on support-aligned panels
 
 
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _panel_integrate(f, lo: float, hi: float, breaks, quad: QuadratureConfig) -> float:
     """Adaptive composite Gauss-Legendre; panel edges include the breaks."""
     edges = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
-    nodes, weights = _leggauss(quad.points_per_panel)
+    nodes, weights = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
 
     def estimate(panels_per_segment: int) -> float:
         total = 0.0
@@ -165,7 +161,7 @@ def _panel_integrate(f, lo: float, hi: float, breaks, quad: QuadratureConfig) ->
             total += float(np.sum(half[:, None] * weights[None, :] * f(pts)))
         return total
 
-    panels = quad.initial_panels
+    panels = _INITIAL_PANELS
     prev = estimate(panels)
     for _ in range(quad.max_doublings):
         panels *= 2
@@ -322,8 +318,9 @@ def _poly_times_factor(coeffs_even, base: str) -> _Factor:
         q = p.deriv() - np.polynomial.Polynomial([0.0, 1.0]) * p
         fn = lambda t: p(np.asarray(t, dtype=float)) * _phi(t)
         deriv = lambda t: q(np.asarray(t, dtype=float)) * _phi(t)
-        # critical points of p*phi are roots of q; of (p*phi)' are roots of q'-tq
-        sup = _poly_gauss_sup(p)
+        # critical points of p*phi are roots of q; exact up to root finding
+        cands = [0.0] + [float(r.real) for r in q.roots() if abs(r.imag) < 1e-10]
+        sup = max(abs(p(t)) * float(_phi(t)) for t in cands) * (1.0 + 1e-12)
         breaks = tuple(sorted(float(r) for r in p.roots() if abs(r.imag) < 1e-12))
     elif base == "epanechnikov":
         base_fn, base_moment, support = _epan_fn, _epan_moment, 1.0
@@ -350,14 +347,6 @@ def _poly_times_factor(coeffs_even, base: str) -> _Factor:
     lo, hi = (-_INF_RADIUS, _INF_RADIUS) if support is None else (-support, support)
     l1 = _panel_integrate(lambda t: np.abs(fn(t)), lo, hi, breaks, quad)
     return _Factor(fn=fn, deriv=deriv, sup=sup, l1=l1, support=support, breaks=breaks, moment=moment)
-
-
-def _poly_gauss_sup(p) -> float:
-    # critical points of p(t)*phi(t): roots of p'(t) - t p(t); exact up to roots
-    q = p.deriv() - np.polynomial.Polynomial([0.0, 1.0]) * p
-    cands = [0.0] + [float(r.real) for r in q.roots() if abs(r.imag) < 1e-10]
-    vals = [abs(p(t)) * float(_phi(t)) for t in cands]
-    return max(vals) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

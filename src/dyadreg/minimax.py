@@ -217,9 +217,6 @@ class MinimaxConstruction:
         # floor keeps center spacing 1/m >= h, hence disjoint supports
         return int(math.floor(1.0 / self.h_n(n_units)))
 
-    def n_hypotheses(self, n_units: int | None = None) -> int:
-        return self.m_n(n_units) ** self.d_x
-
     def fano_centers(self, n_units: int | None = None) -> np.ndarray:
         if self.variant != "fano":
             raise ValueError("centers grid exists only for the fano variant")
@@ -237,10 +234,6 @@ class MinimaxConstruction:
         return self.kernel.k_max  # bump peaks at the origin
 
 
-def _law_or_default(law, d_x):
-    return law if law is not None else uniform_law(d_x)
-
-
 def make_two_point(beta: float, l_const: float, c0: float, d_x: int, n_units: int,
                    centers=None, law: RegressorLaw | None = None,
                    bump_a: float | None = None) -> MinimaxConstruction:
@@ -250,7 +243,7 @@ def make_two_point(beta: float, l_const: float, c0: float, d_x: int, n_units: in
     kernel = make_kernel("bump", d_x, bump_a=bump_a, bump_beta=beta)
     return MinimaxConstruction(variant="two-point", beta=beta, l_const=l_const, c0=c0,
                                d_x=d_x, n_units=n_units, kernel=kernel,
-                               centers=centers, regressor_law=_law_or_default(law, d_x))
+                               centers=centers, regressor_law=law or uniform_law(d_x))
 
 
 def make_fano(beta: float, l_const: float, c0: float, d_x: int, n_units: int,
@@ -258,7 +251,7 @@ def make_fano(beta: float, l_const: float, c0: float, d_x: int, n_units: int,
     kernel = make_kernel("bump", d_x, bump_a=bump_a, bump_beta=beta)
     return MinimaxConstruction(variant="fano", beta=beta, l_const=l_const, c0=c0,
                                d_x=d_x, n_units=n_units, kernel=kernel,
-                               centers=None, regressor_law=_law_or_default(law, d_x))
+                               centers=None, regressor_law=law or uniform_law(d_x))
 
 
 def _kernel_at(kernel: KernelSpec, pts: np.ndarray) -> np.ndarray:

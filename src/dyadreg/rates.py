@@ -19,7 +19,7 @@ import numpy as np
 
 from .dgp import DgpSpec, axes_grid, replicate, true_g_on_grid
 from .estimator import BandwidthRule, nw_estimate
-from .kernels import make_kernel
+from .kernels import KERNEL_IDS, make_kernel
 
 __all__ = [
     "RateExperiment",
@@ -59,10 +59,14 @@ class RateExperiment:
     def __post_init__(self):
         if self.mode not in ("pointwise", "sup-norm"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.kernel_id not in KERNEL_IDS:
+            raise ValueError(f"unknown kernel id {self.kernel_id!r}; known: {', '.join(KERNEL_IDS)}")
         if len(self.n_list) < 4:
             raise ValueError("n_list must have at least 4 entries")
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ValueError("n_list must be strictly increasing")
+        if self.n_list[0] < 3:
+            raise ValueError(f"n_list entries must be >= 3, got {self.n_list[0]}")
         if self.reps < 50:
             raise ValueError("reps must be >= 50")
         if self.mode == "pointwise" and self.w0 is None:
@@ -252,9 +256,9 @@ def rate_fit_json(fit: RateFit) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def plot_data(fit: RateFit, n_list) -> str:
+def plot_data(fit: RateFit) -> str:
     """Two-column (ln n_value, ln err) text for external plotting."""
     lines = []
-    for x, r in zip(_rate_axis(fit.mode, n_list), fit.rows):
+    for x, r in zip(_rate_axis(fit.mode, [r.n_units for r in fit.rows]), fit.rows):
         lines.append(f"{math.log(x)!r} {math.log(_metric_err(r, fit.metric))!r}")
     return "\n".join(lines) + "\n"

@@ -76,19 +76,42 @@ def test_config_error_exits_2(tmp_path):
      "--out", "{d}/o.csv"],
     ["estimate", "--data", "{d}/missing.csv", "--grid", "0.2:0.8:9", "--out", "{d}/o.csv"],
     ["rates", "--config", "{d}/d_x.cfg"],
+    ["rates", "--config", "{d}/n_list.cfg"],
+    ["minimax", "--n", "1", "--out", "{d}/o.json"],
+    ["minimax", "--n", "50", "--reps", "1", "--out", "{d}/o.json"],
+    ["simulate", "--n", "20", "--d-x", "0", "--seed", "1", "--out", "{d}/o.csv"],
+    ["diagnose", "--d-x", "0", "--n", "50,100", "--w", "0.5,0.5", "--out", "{d}/o.csv"],
 ], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
-        "estimate-missing-file", "rates-d_x-1.5"])
+        "estimate-missing-file", "rates-d_x-1.5", "rates-n_list-2", "minimax-n-1", "minimax-reps-1",
+        "simulate-d-x-0", "diagnose-d-x-0"])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
     (tmp_path / "d_x.cfg").write_text("dgp.d_x = 1.5\nn_list = 10,20,40,80\nreps = 50\n"
                                       f"w0 = 0.5,0.5\nout.prefix = {d}/r\n")
+    (tmp_path / "n_list.cfg").write_text("n_list = 2,4,8,16\nreps = 50\n"
+                                         f"w0 = 0.5,0.5\nout.prefix = {d}/r\n")
     before = sorted(os.listdir(d))
     capsys.readouterr()
     assert main([a.format(d=d) for a in argv]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert sorted(os.listdir(d)) == before
+
+
+@pytest.mark.parametrize("flag", [["--bandwidth", "fixed:-1"], ["--grid", "0.8:0.2:9"],
+                                  ["--kernel", "sinc"]], ids=["bandwidth", "grid", "kernel"])
+def test_estimate_checks_flags_before_loading(tmp_path, monkeypatch, flag):
+    d = str(tmp_path)
+    assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
+
+    def refuse(path):
+        raise AssertionError("the dataset was loaded before the flags were checked")
+
+    monkeypatch.setattr("dyadreg.cli.load_dataset", refuse)
+    argv = ["estimate", "--data", f"{d}/d.csv", "--grid", "0.2:0.8:9", "--out", f"{d}/o.csv"]
+    assert main(argv + flag) == 2
+    assert not os.path.exists(f"{d}/o.csv")
 
 
 def test_truncated_dataset_refused(tmp_path):

@@ -60,7 +60,7 @@ def test_seed_determinism_bit_identical():
 
 def test_diagonal_is_structurally_absent():
     data = simulate(make_dgp("theorem1", "zero"), 5, 1)
-    assert np.all(np.isnan(np.diag(data.y)))
+    assert np.all(np.diag(data.y) == 0.0)
     assert np.all(np.isfinite(data.y_filled()))
 
 
@@ -198,6 +198,18 @@ def test_roundtrip_persistence_exact(tmp_path):
     assert man2["n_units"] == 12 and man2["d_x"] == 2
     assert man2["meta"]["seed"] == 3
     assert manifest["format"] == "dyadreg-dataset-v1"
+
+
+def test_failed_save_keeps_old_files_and_leaves_no_temp(tmp_path):
+    path = str(tmp_path / "d.csv")
+    spec = make_dgp("theorem1", "sin_additive")
+    save_dataset(simulate(spec, 6, 1), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    broken = simulate(spec, 6, 2)
+    broken.y = None  # fails after the header row of the pairs file is written
+    with pytest.raises(TypeError):
+        save_dataset(broken, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 # each edit keeps the header line and breaks the one-row-per-index rule

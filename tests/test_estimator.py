@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat
 
+from dyadreg.decomposition import hoeffding_decompose
 from dyadreg.dgp import DyadicDataset, make_dgp, replication_seed, simulate
 from dyadreg.errors import TruncationInfeasible
 from dyadreg.estimator import (BandwidthRule, TruncationRule, a_n, a_n_star, bandwidth,
@@ -185,6 +187,41 @@ def test_truncated_psi_matches_naive():
     got = truncated_psi(data, k, 0.5, tau, w)
     ref = naive_pair_average(data, k, 0.5, w, use_y=True, tau=tau)
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("diagonal", [np.nan, 7.5, np.inf])
+def test_diagonal_input_is_ignored(diagonal):
+    clean = simulate(make_dgp("theorem1", "sin_additive"), 9, 4)
+    y = clean.y.copy()
+    np.fill_diagonal(y, diagonal)
+    data = DyadicDataset(x=clean.x, y=y)
+    assert np.all(np.diag(data.y) == 0.0)
+    k = make_kernel("gaussian", 2)
+    h, tau, w = 0.5, 1.5, np.array([0.4, 0.6])
+    results = []
+    for d in (clean, data):
+        parts = hoeffding_decompose(d, k, h, tau, w)
+        results.append((psi_hat(d, k, h, w), truncated_psi(d, k, h, tau, w),
+                        nw_estimate(d, k, h, [w]).g_hat[0], parts.statistic, parts.var1_hat, parts.var2_hat))
+    assert results[0] == results[1]
+    psi, tpsi, g_hat, statistic = results[1][:4]
+    assert psi == pytest.approx(naive_psi_hat(data, k, h, w), rel=1e-12)
+    assert tpsi == pytest.approx(naive_pair_average(data, k, h, w, tau=tau), rel=1e-12)
+    assert statistic == pytest.approx(tpsi, rel=1e-12)
+    assert g_hat == pytest.approx(naive_nw(data, k, h, w)[0], rel=1e-12)
+
+
+def test_one_point_estimate_does_not_copy_outcomes():
+    data = simulate(make_dgp("theorem1", "sin_additive"), 400, 1)
+    k = make_kernel("gaussian", 2)
+    nw_estimate(data, k, 0.3, [[0.5, 0.5]])
+    tracemalloc.start()
+    try:
+        nw_estimate(data, k, 0.3, [[0.5, 0.5]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.y.nbytes / 4
 
 
 def test_truncation_threshold_s_inf():
