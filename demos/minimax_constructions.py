@@ -21,17 +21,17 @@ def main():
     print(f"N=120 Woodbury identity: big-system route {lhs:.10f} vs N x N core {rhs:.10f}")
 
     print("\n== two-point construction (beta=2, L=1, c0=1, d_x=1) ==")
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100)
+    con = make_two_point(2.0, 1.0, 1.0, 1)
     for n in (10, 50, 100):
         rep = kl_two_point(con, n, 400, seed=3)
         print(f"N={n:>3}: KL = {rep.kl_mean:.3e} +- {rep.kl_se:.1e}   bound {rep.bound:.3e}")
     w0 = np.concatenate(con.centers)
-    sep = separation_check(con, 1, 0, [w0])
+    sep = separation_check(con, 1, 0, [w0], 100)
     print(f"separation at the centers: gap {sep.gap:.3e} >= required {sep.required:.3e}")
 
     print("\n== fano packing (c0=0.5 keeps the supports disjoint at desk scale) ==")
+    fano = make_fano(2.0, 1.0, 0.5, 1)
     for n in (50, 200, 400):
-        fano = make_fano(2.0, 1.0, 0.5, 1, n)
         rep = fano_kl_average(fano, n, 200, seed=4)
         print(f"N={n:>3}: M_N={rep.n_hypotheses}  avg KL {rep.avg_kl:.3e} <= bound {rep.bound:.3e}; "
               f"ln M_N {rep.ln_m_n:.3f} >= {rep.ln_m_lower:.3f}")

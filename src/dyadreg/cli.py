@@ -12,6 +12,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -60,9 +61,12 @@ def _parse_bandwidth(text: str, beta: float, d_x: int) -> BandwidthRule:
 
 def _parse_list(text: str, key: str, cast) -> tuple:
     try:
-        return tuple(cast(tok) for tok in text.split(","))
+        values = tuple(cast(tok) for tok in text.split(","))
     except ValueError:
         raise ConfigError(f"{key} must be a comma-separated {cast.__name__} list, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return values
 
 
 def _spec(args):
@@ -112,7 +116,7 @@ def _parse_grid(text: str, dim: int) -> np.ndarray:
             lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"bad grid coordinate spec {sp!r}") from None
-        if steps < 1 or hi < lo:
+        if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ConfigError(f"bad grid coordinate spec {sp!r}")
         axes.append(np.linspace(lo, hi, steps))
     return axes_grid(axes)
@@ -182,9 +186,12 @@ def _cmd_rates(args) -> list[str]:
             raise ConfigError(f"missing required config key {key!r}")
         text = cfg.get(key, default)
         try:
-            return cast(text)
+            out = cast(text)
         except ValueError:
             raise ConfigError(f"{key}: expected {cast.__name__}, got {text!r}") from None
+        if cast is float and not math.isfinite(out):
+            raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+        return out
 
     d_x = value("dgp.d_x", int, "1")
     beta = value("dgp.beta", float, "2.0")
@@ -231,16 +238,19 @@ def _cmd_minimax(args) -> list[str]:
     n_list = _parse_list(args.n, "--n", int)
     if args.reps < 2 or min(n_list) < 2:
         raise ConfigError(f"need --reps >= 2 and every --n >= 2, got --reps {args.reps} --n {args.n}")
+    two_point = args.variant == "two-point"
+    try:
+        con = (make_two_point if two_point else make_fano)(args.beta, args.l, args.c0, args.d_x)
+    except ValueError as exc:
+        raise ConfigError(f"minimax construction: {exc}") from None
     reports = []
     for n in n_list:
-        if args.variant == "two-point":
-            con = make_two_point(args.beta, args.l, args.c0, args.d_x, n)
+        if two_point:
             kl = kl_two_point(con, n, args.reps, args.seed)
             centers_grid = np.concatenate([np.concatenate(con.centers)[None, :],
                                            np.tile(con.centers[0], 2)[None, :]])
             sep = separation_check(con, 1, 0, centers_grid, n)
         else:
-            con = make_fano(args.beta, args.l, args.c0, args.d_x, n)
             kl = fano_kl_average(con, n, args.reps, args.seed)
             centers = con.fano_centers(n)
             grid = np.hstack([centers, centers])
@@ -262,7 +272,7 @@ def _cmd_minimax(args) -> list[str]:
             "woodbury_max_gap": max(gaps),
             "kl_se": kl.kl_se,
         }
-        if args.variant == "two-point":
+        if two_point:
             mean = body["kl_mean"] = kl.kl_mean
         else:
             mean = body["avg_kl"] = kl.avg_kl

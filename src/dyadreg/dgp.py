@@ -27,7 +27,6 @@ __all__ = [
     "DyadicDataset",
     "DgpSpec",
     "HolderInfo",
-    "HolderFunction",
     "RegressorLaw",
     "MomentBounds",
     "uniform_law",
@@ -110,27 +109,6 @@ def truncnorm_law(d_x: int, radius: float = 2.0) -> RegressorLaw:
 class HolderInfo:
     beta: float
     l_const: float
-
-
-@dataclass(frozen=True)
-class HolderFunction:
-    """A callable with declared smoothness: g in Sigma(beta, l_const) on R^d."""
-
-    g: Callable
-    beta: float
-    l_const: float
-    d: int
-
-    def __call__(self, w):
-        return self.g(w)
-
-    def check(self, n_pairs: int = 800, seed: int = 0, tol: float = 0.05,
-              box: tuple[float, float] = (-1.0, 1.0)):
-        """Sampled finite-difference membership check of the declared class."""
-        from .minimax import holder_membership_check
-
-        return holder_membership_check(self.g, self.beta, self.l_const, self.d,
-                                       n_pairs=n_pairs, seed=seed, tol=tol, box=box)
 
 
 @dataclass(frozen=True)

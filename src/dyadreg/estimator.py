@@ -52,8 +52,9 @@ class BandwidthRule:
     def __post_init__(self):
         if self.mode not in BANDWIDTH_MODES:
             raise ValueError(f"unknown bandwidth mode {self.mode!r}; known: {', '.join(BANDWIDTH_MODES)}")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
+        for name, value in (("c0", self.c0), ("beta", self.beta)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.mode == "custom-exponent" and self.exponent is None:
             raise ValueError("custom-exponent mode requires an exponent")
 

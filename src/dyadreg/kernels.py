@@ -24,7 +24,6 @@ from .errors import QuadratureFailure
 __all__ = [
     "KernelSpec",
     "LipschitzInfo",
-    "BumpParams",
     "QuadratureConfig",
     "KERNEL_IDS",
     "bump_eta",
@@ -59,18 +58,6 @@ class LipschitzInfo:
     lambda1: float
     support_l: float
     tail_nu: float | None = None
-
-
-@dataclass(frozen=True)
-class BumpParams:
-    a: float
-    d: int
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("bump amplitude must be positive")
-        if self.d < 1:
-            raise ValueError("bump dimension must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,12 +100,13 @@ def bump_eta(u):
     return out.reshape(np.shape(u))
 
 
-def eval_kernel(spec: KernelSpec, u) -> float:
-    """Evaluate K(u) for a single point u in R^dim."""
+def eval_kernel(spec: KernelSpec, u):
+    """Evaluate K(u) at points u of shape (..., dim); a float for a single point."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (spec.dim,):
-        raise ValueError(f"kernel has dim {spec.dim}, got point of shape {u.shape}")
-    return float(np.prod(spec.factor.fn(u)))
+    if u.ndim == 0 or u.shape[-1] != spec.dim:
+        raise ValueError(f"kernel has dim {spec.dim}, got points of shape {u.shape}")
+    vals = np.prod(spec.factor.fn(u), axis=-1)
+    return float(vals) if u.ndim == 1 else vals
 
 
 def dominating_kernel(spec: KernelSpec, u) -> float:
@@ -384,8 +372,6 @@ def _case_b_info(factor: _Factor, dim: int, support_l: float = 1.0, nu: float = 
 
 def _assemble(family: str, dim: int, order: int, factor: _Factor,
               lipschitz: LipschitzInfo | None, params: tuple = ()) -> KernelSpec:
-    if dim < 1:
-        raise ValueError("kernel dim must be >= 1")
     # slice bound: sup over the first ceil(d/2) coordinates, integrate the rest
     n_int = dim // 2
     slice_bound = factor.sup ** (dim - n_int) * factor.l1 ** n_int
@@ -446,6 +432,8 @@ DEFAULT_BUMP_AMPLITUDE = {
 def make_kernel(kernel_id: str, dim: int, *, bump_a: float | None = None,
                 bump_beta: float = 2.0) -> KernelSpec:
     """Build a kernel by its config-file id; dimension comes from the caller."""
+    if dim < 1:
+        raise ValueError("kernel dim must be >= 1")
     if kernel_id == "gaussian":
         return _assemble("gaussian-product", dim, 2, _gaussian_factor(),
                          _case_b_info(_gaussian_factor(), dim))
@@ -462,9 +450,10 @@ def make_kernel(kernel_id: str, dim: int, *, bump_a: float | None = None,
             from .minimax import fit_bump_amplitude
 
             bump_a = fit_bump_amplitude(bump_beta, dim)
+        if not bump_a > 0:
+            raise ValueError("bump amplitude must be positive")
         f = _bump_factor(bump_a)
-        return _assemble("bump-product", dim, 2, f, _case_a_info(f, dim),
-                         params=(BumpParams(a=bump_a, d=dim),))
+        return _assemble("bump-product", dim, 2, f, _case_a_info(f, dim))
     if kernel_id == "gaussian_o4":
         return make_higher_order_kernel(make_kernel("gaussian", dim), 4)
     if kernel_id == "gaussian_o6":

@@ -19,9 +19,9 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .dgp import RegressorLaw, _stream, axes_grid, uniform_law
+from .dgp import _stream, axes_grid, uniform_law
 from .errors import AssumptionViolation, PackingDegenerate
-from .kernels import KernelSpec, make_kernel
+from .kernels import KernelSpec, eval_kernel, make_kernel
 
 __all__ = [
     "SelectionMatrices",
@@ -133,12 +133,12 @@ def omega_inverse(sel: SelectionMatrices) -> np.ndarray:
     return inv
 
 
-def kl_quadratic_form(k_vec: np.ndarray, n_units: int | None = None) -> np.ndarray:
+def kl_quadratic_form(k_vec: np.ndarray, n_units: int) -> np.ndarray:
     """(T K)^T (I + T T^T)^{-1} (T K) = K^T S (I + S)^{-1} K with
     S = T^T T = 2[(N-2) I + J]; accepts a batch of K vectors (rows)."""
     k = np.atleast_2d(np.asarray(k_vec, dtype=float))
-    n = k.shape[1] if n_units is None else n_units
-    if k.shape[1] != n:
+    n = k.shape[1]
+    if n != n_units:
         raise ValueError("k_vec length must equal n_units")
     a = 2.0 * n - 3.0
     ksum = k.sum(axis=1, keepdims=True)
@@ -185,39 +185,40 @@ def woodbury_gap(sel: SelectionMatrices, k_vec) -> float:
 
 @dataclass(frozen=True)
 class MinimaxConstruction:
+    """One construction for every N: the quantities that depend on N (h_N,
+    psi_N, the packing, the hypotheses) take it as an argument."""
+
     variant: str                 # "two-point" or "fano"
     beta: float
     l_const: float
     c0: float
     d_x: int
-    n_units: int
     kernel: KernelSpec           # bump kernel on R^d_x
     centers: tuple | None = None  # two-point: (x10, x20)
-    regressor_law: RegressorLaw | None = None
 
     def __post_init__(self):
         if self.variant not in ("two-point", "fano"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
-    def h_n(self, n_units: int | None = None) -> float:
-        n = float(self.n_units if n_units is None else n_units)
+    def h_n(self, n_units: int) -> float:
+        n = float(n_units)
         expo = 1.0 / (2.0 * self.beta + self.d_x)
         if self.variant == "two-point":
             return self.c0 * n**-expo
         return self.c0 * (n / math.log(n)) ** -expo
 
-    def psi_n(self, n_units: int | None = None) -> float:
-        n = float(self.n_units if n_units is None else n_units)
+    def psi_n(self, n_units: int) -> float:
+        n = float(n_units)
         expo = self.beta / (2.0 * self.beta + self.d_x)
         if self.variant == "two-point":
             return n**-expo
         return (n / math.log(n)) ** -expo
 
-    def m_n(self, n_units: int | None = None) -> int:
+    def m_n(self, n_units: int) -> int:
         # floor keeps center spacing 1/m >= h, hence disjoint supports
         return int(math.floor(1.0 / self.h_n(n_units)))
 
-    def fano_centers(self, n_units: int | None = None) -> np.ndarray:
+    def fano_centers(self, n_units: int) -> np.ndarray:
         if self.variant != "fano":
             raise ValueError("centers grid exists only for the fano variant")
         m = self.m_n(n_units)
@@ -234,32 +235,34 @@ class MinimaxConstruction:
         return self.kernel.k_max  # bump peaks at the origin
 
 
-def make_two_point(beta: float, l_const: float, c0: float, d_x: int, n_units: int,
-                   centers=None, law: RegressorLaw | None = None,
-                   bump_a: float | None = None) -> MinimaxConstruction:
+def _bump_kernel(beta: float, l_const: float, c0: float, d_x: int) -> KernelSpec:
+    """The construction's bump kernel, once its parameters are checked."""
+    for name, value in (("beta", beta), ("l_const", l_const), ("c0", c0)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if beta > 4:
+        raise ValueError(f"beta must be <= 4 for the finite-difference Holder check, got {beta}")
+    if d_x < 1:
+        raise ValueError(f"d_x must be >= 1, got {d_x}")
+    return make_kernel("bump", d_x, bump_beta=beta)
+
+
+def make_two_point(beta: float, l_const: float, c0: float, d_x: int,
+                   centers=None) -> MinimaxConstruction:
+    kernel = _bump_kernel(beta, l_const, c0, d_x)
     if centers is None:
         centers = (np.full(d_x, 0.3), np.full(d_x, 0.7))
     centers = (np.asarray(centers[0], dtype=float), np.asarray(centers[1], dtype=float))
-    kernel = make_kernel("bump", d_x, bump_a=bump_a, bump_beta=beta)
     return MinimaxConstruction(variant="two-point", beta=beta, l_const=l_const, c0=c0,
-                               d_x=d_x, n_units=n_units, kernel=kernel,
-                               centers=centers, regressor_law=law or uniform_law(d_x))
+                               d_x=d_x, kernel=kernel, centers=centers)
 
 
-def make_fano(beta: float, l_const: float, c0: float, d_x: int, n_units: int,
-              law: RegressorLaw | None = None, bump_a: float | None = None) -> MinimaxConstruction:
-    kernel = make_kernel("bump", d_x, bump_a=bump_a, bump_beta=beta)
-    return MinimaxConstruction(variant="fano", beta=beta, l_const=l_const, c0=c0,
-                               d_x=d_x, n_units=n_units, kernel=kernel,
-                               centers=None, regressor_law=law or uniform_law(d_x))
+def make_fano(beta: float, l_const: float, c0: float, d_x: int) -> MinimaxConstruction:
+    return MinimaxConstruction(variant="fano", beta=beta, l_const=l_const, c0=c0, d_x=d_x,
+                               kernel=_bump_kernel(beta, l_const, c0, d_x))
 
 
-def _kernel_at(kernel: KernelSpec, pts: np.ndarray) -> np.ndarray:
-    # pts (..., d) -> product of the univariate factor over the last axis
-    return np.prod(kernel.factor.fn(np.asarray(pts, dtype=float)), axis=-1)
-
-
-def hypothesis_g(con: MinimaxConstruction, which, w, n_units: int | None = None):
+def hypothesis_g(con: MinimaxConstruction, which, w, n_units: int):
     """Evaluate hypothesis `which` at w = (x1, x2); which = 0 is the null.
 
     For the fano variant `which` is a 1-based flat index into the center grid
@@ -282,10 +285,10 @@ def hypothesis_g(con: MinimaxConstruction, which, w, n_units: int | None = None)
             raise ValueError("two-point variant has hypotheses 0 and 1")
         c1, c2 = con.centers
         vals = (con.l_const * h**con.beta / 2.0) * (
-            _kernel_at(con.kernel, (x1 - c1) / h)
-            + _kernel_at(con.kernel, (x1 - c2) / h)
-            + _kernel_at(con.kernel, (x2 - c1) / h)
-            + _kernel_at(con.kernel, (x2 - c2) / h)
+            eval_kernel(con.kernel, (x1 - c1) / h)
+            + eval_kernel(con.kernel, (x1 - c2) / h)
+            + eval_kernel(con.kernel, (x2 - c1) / h)
+            + eval_kernel(con.kernel, (x2 - c2) / h)
         )
     else:
         centers = con.fano_centers(n_units)
@@ -293,7 +296,7 @@ def hypothesis_g(con: MinimaxConstruction, which, w, n_units: int | None = None)
             raise ValueError(f"fano hypothesis index must be in 1..{len(centers)}")
         ck = centers[which - 1]
         vals = (con.l_const * h**con.beta) * (
-            _kernel_at(con.kernel, (x1 - ck) / h) + _kernel_at(con.kernel, (x2 - ck) / h)
+            eval_kernel(con.kernel, (x1 - ck) / h) + eval_kernel(con.kernel, (x2 - ck) / h)
         )
     return float(vals[0]) if single else vals
 
@@ -307,7 +310,7 @@ class SeparationResult:
     psi_n: float
 
 
-def separation_check(con: MinimaxConstruction, k, l, grid, n_units: int | None = None) -> SeparationResult:
+def separation_check(con: MinimaxConstruction, k, l, grid, n_units: int) -> SeparationResult:
     """Sup over the grid of |g_k - g_l| against the 2 A psi_N separation."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     gk = hypothesis_g(con, k, grid, n_units)
@@ -337,14 +340,24 @@ class KlReport:
     n_h_dx: float
 
 
-def _check_kl_precondition(con, n_units):
+def _kl_monte_carlo(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: int,
+                    role: int, unit_effects) -> tuple[float, float, float, float]:
+    """Mean and standard error over `mc_reps` uniform regressor draws x of the
+    mean over the rows K of unit_effects(x, h_N) of KL = (TK)^T Omega^{-1} (TK) / 2;
+    returns (h_N, N h_N^d_x, mean, se). Each caller owns a stream role."""
     h = con.h_n(n_units)
     n_h = n_units * h**con.d_x
     if n_h < 1.0:
         raise AssumptionViolation(
             f"KL evaluation requires N h_N^d_x >= 1; got {n_h:.4f} at N={n_units}"
         )
-    return h, n_h
+    law = uniform_law(con.d_x)
+    rng = _stream(seed, role)
+    kls = np.empty(mc_reps)
+    for r in range(mc_reps):
+        kv = unit_effects(law.sample(rng, n_units), h)
+        kls[r] = np.mean(0.5 * kl_quadratic_form(kv, n_units))
+    return h, n_h, float(np.mean(kls)), float(np.std(kls, ddof=1) / math.sqrt(mc_reps))
 
 
 def kl_two_point(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: int) -> KlReport:
@@ -352,19 +365,16 @@ def kl_two_point(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: int
     against the closed-form bound L^2 K_max^2 B3 c0^(2 beta + d_x) / 2."""
     if con.variant != "two-point":
         raise ValueError("kl_two_point requires a two-point construction")
-    h, n_h = _check_kl_precondition(con, n_units)
-    law = con.regressor_law
-    rng = _stream(seed, 10)
     c1, c2 = con.centers
-    scale = con.l_const * h**con.beta / 2.0
-    kls = np.empty(mc_reps)
-    for r in range(mc_reps):
-        x = law.sample(rng, n_units)
-        kv = scale * (_kernel_at(con.kernel, (x - c1) / h) + _kernel_at(con.kernel, (x - c2) / h))
-        kls[r] = 0.5 * kl_quadratic_form(kv, n_units)
-    bound = 0.5 * con.l_const**2 * con.k_at_zero**2 * law.b3 * con.c0 ** (2 * con.beta + con.d_x)
-    return KlReport(kl_mean=float(np.mean(kls)), kl_se=float(np.std(kls, ddof=1) / math.sqrt(mc_reps)),
-                    bound=bound, n_h_dx=n_h)
+
+    def unit_effects(x, h):
+        return con.l_const * h**con.beta / 2.0 * (
+            eval_kernel(con.kernel, (x - c1) / h) + eval_kernel(con.kernel, (x - c2) / h))
+
+    _, n_h, mean, se = _kl_monte_carlo(con, n_units, mc_reps, seed, 10, unit_effects)
+    b3 = uniform_law(con.d_x).b3
+    bound = 0.5 * con.l_const**2 * con.k_at_zero**2 * b3 * con.c0 ** (2 * con.beta + con.d_x)
+    return KlReport(kl_mean=mean, kl_se=se, bound=bound, n_h_dx=n_h)
 
 
 @dataclass(frozen=True)
@@ -384,20 +394,14 @@ def fano_kl_average(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: 
     bound (N/M) L^2 h^(2 beta) K_max^2 / 2 and the ln M_N arithmetic check."""
     if con.variant != "fano":
         raise ValueError("fano_kl_average requires a fano construction")
-    h, _ = _check_kl_precondition(con, n_units)
     centers = con.fano_centers(n_units)  # raises PackingDegenerate when M < 2
     m_total = len(centers)
-    law = con.regressor_law
-    rng = _stream(seed, 11)
-    scale = con.l_const * h**con.beta
-    rep_means = np.empty(mc_reps)
-    for r in range(mc_reps):
-        x = law.sample(rng, n_units)                       # (N, d)
-        diffs = (x[None, :, :] - centers[:, None, :]) / h  # (M, N, d)
-        kvs = scale * _kernel_at(con.kernel, diffs)        # (M, N)
-        rep_means[r] = float(np.mean(0.5 * kl_quadratic_form(kvs, n_units)))
-    avg = float(np.mean(rep_means))
-    se = float(np.std(rep_means, ddof=1) / math.sqrt(mc_reps))
+
+    def unit_effects(x, h):  # one row per center: (M, N)
+        diffs = (x[None, :, :] - centers[:, None, :]) / h
+        return con.l_const * h**con.beta * eval_kernel(con.kernel, diffs)
+
+    h, _, avg, se = _kl_monte_carlo(con, n_units, mc_reps, seed, 11, unit_effects)
     bound = 0.5 * con.l_const**2 * h ** (2 * con.beta) * con.k_at_zero**2 * n_units / m_total
     ln_m = math.log(m_total)
     ln_lower = con.d_x / (2.0 * con.beta + con.d_x + 1.0) * math.log(n_units)

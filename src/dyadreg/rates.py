@@ -69,8 +69,13 @@ class RateExperiment:
             raise ValueError(f"n_list entries must be >= 3, got {self.n_list[0]}")
         if self.reps < 50:
             raise ValueError("reps must be >= 50")
-        if self.mode == "pointwise" and self.w0 is None:
-            raise ValueError("pointwise mode requires w0")
+        if self.mode == "pointwise" and (self.w0 is None or len(self.w0) != 2 * self.dgp.d_x):
+            raise ValueError(f"pointwise mode requires a w0 of {2 * self.dgp.d_x} coordinates")
+        if self.mode == "sup-norm" and self.grid_steps < 1:
+            raise ValueError(f"grid.steps must be >= 1, got {self.grid_steps}")
+        if self.dgp.kind == "graphon" and self.dgp.cond_mean is None:
+            raise ValueError(f"dgp {self.dgp.name!r} has no closed-form conditional mean "
+                             "to measure the error against")
         if self.metric not in ("median", "mean", "rmse"):
             raise ValueError(f"unknown metric {self.metric!r}")
 

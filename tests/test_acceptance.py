@@ -152,7 +152,7 @@ def test_criterion_7_minimax_suite():
     ok_a = max_gap <= 1e-8 and min_rhs >= -1e-12
 
     # (b) two-point KL against the closed-form bound
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100)
+    con = make_two_point(2.0, 1.0, 1.0, 1)
     ok_b = True
     kl_detail = []
     for n in (10, 50, 100):
@@ -161,28 +161,27 @@ def test_criterion_7_minimax_suite():
         kl_detail.append(f"N={n}: {rep.kl_mean:.3e}<={rep.bound:.3e}")
 
     # (c) separation: two-point and all fano pairs
-    sep_con = make_two_point(2.0, 1.0, 1.0, 1, 100,
-                             centers=(np.array([0.25]), np.array([0.75])))
+    sep_con = make_two_point(2.0, 1.0, 1.0, 1, centers=(np.array([0.25]), np.array([0.75])))
     grid = np.array([[0.25, 0.75], [0.25, 0.25], [0.75, 0.75]])
-    ok_c = separation_check(sep_con, 1, 0, grid).passed
-    fano = make_fano(2.0, 1.0, 0.5, 1, 200)
-    centers = fano.fano_centers()
+    ok_c = separation_check(sep_con, 1, 0, grid, 100).passed
+    fano = make_fano(2.0, 1.0, 0.5, 1)
+    centers = fano.fano_centers(200)
     fano_grid = np.hstack([centers, centers])
     m_total = len(centers)
     for k in range(0, m_total + 1):
         for l in range(k + 1, m_total + 1):
-            ok_c &= separation_check(fano, k, l, fano_grid).passed
+            ok_c &= separation_check(fano, k, l, fano_grid, 200).passed
 
     # (d) fano average KL and packing-size arithmetic
     ok_d = True
     for n in (50, 200, 400):
-        frep = fano_kl_average(make_fano(2.0, 1.0, 0.5, 1, n), n, 200, 22)
+        frep = fano_kl_average(fano, n, 200, 22)
         ok_d &= frep.avg_kl <= frep.alpha_implied * frep.ln_m_n + 1e-15
         ok_d &= frep.avg_kl <= frep.bound + 3.0 * frep.kl_se
         ok_d &= frep.ln_m_n >= frep.ln_m_lower
 
     # (e) g1N Holder membership at (beta, L), 5% tolerance
-    g1 = lambda w: hypothesis_g(con, 1, w)
+    g1 = lambda w: hypothesis_g(con, 1, w, 100)
     hold = holder_membership_check(g1, 2.0, 1.0, 2, n_pairs=1000, seed=5,
                                    tol=0.05, box=(-0.25, 1.25))
     ok_e = hold.passed

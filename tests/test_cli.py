@@ -68,6 +68,21 @@ def test_config_error_exits_2(tmp_path):
     assert not os.path.exists(est)
 
 
+_RATES_BASE = "n_list = 10,20,40,80\nreps = 50\n"
+_BAD_RATES_CONFIGS = {
+    "d_x": "dgp.d_x = 1.5\n" + _RATES_BASE + "w0 = 0.5,0.5\n",
+    "n_list": "n_list = 2,4,8,16\nreps = 50\nw0 = 0.5,0.5\n",
+    "beta": _RATES_BASE + "w0 = 0.5,0.5\ndgp.beta = -0.5\n",
+    "c0": _RATES_BASE + "w0 = 0.5,0.5\nbandwidth.c0 = nan\n",
+    "graphon": _RATES_BASE + "w0 = 0.5,0.5\ndgp.kind = sigmoid_graphon\n",
+    "w0": _RATES_BASE + "w0 = 0.5\n",
+    "steps": _RATES_BASE + "mode = sup-norm\ngrid.steps = 0\n",
+}
+_EST = ["estimate", "--data", "{d}/d.csv", "--out", "{d}/o.csv"]
+_DIAG = ["diagnose", "--n", "50,100", "--out", "{d}/o.csv"]
+_MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "1", "--seed", "1", "--out", "{d}/o.csv"],
     ["simulate", "--n", "20", "--g", "bogus", "--seed", "1", "--out", "{d}/o.csv"],
@@ -81,16 +96,36 @@ def test_config_error_exits_2(tmp_path):
     ["minimax", "--n", "50", "--reps", "1", "--out", "{d}/o.json"],
     ["simulate", "--n", "20", "--d-x", "0", "--seed", "1", "--out", "{d}/o.csv"],
     ["diagnose", "--d-x", "0", "--n", "50,100", "--w", "0.5,0.5", "--out", "{d}/o.csv"],
+    _MINIMAX + ["--d-x", "0"],
+    _MINIMAX + ["--beta", "0"],
+    _MINIMAX + ["--beta", "5"],
+    _MINIMAX + ["--l", "0"],
+    _MINIMAX + ["--l", "-1"],
+    _MINIMAX + ["--c0", "-1"],
+    _EST + ["--beta", "-0.5", "--grid", "0.2:0.8:9"],
+    _EST + ["--bandwidth", "fixed:nan", "--grid", "0.2:0.8:9"],
+    _EST + ["--bandwidth", "pointwise-optimal:inf", "--grid", "0.2:0.8:9"],
+    _EST + ["--grid", "nan:0.8:3"],
+    _DIAG + ["--beta", "-0.5", "--w", "0.5,0.5"],
+    _DIAG + ["--w", "nan,0.5"],
+    ["rates", "--config", "{d}/beta.cfg"],
+    ["rates", "--config", "{d}/c0.cfg"],
+    ["rates", "--config", "{d}/graphon.cfg"],
+    ["rates", "--config", "{d}/w0.cfg"],
+    ["rates", "--config", "{d}/steps.cfg"],
 ], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
         "estimate-missing-file", "rates-d_x-1.5", "rates-n_list-2", "minimax-n-1", "minimax-reps-1",
-        "simulate-d-x-0", "diagnose-d-x-0"])
+        "simulate-d-x-0", "diagnose-d-x-0",
+        "minimax-d-x-0", "minimax-beta-0", "minimax-beta-5", "minimax-l-0", "minimax-l-negative",
+        "minimax-c0-negative", "estimate-beta-negative", "estimate-bandwidth-nan",
+        "estimate-bandwidth-inf", "estimate-grid-nan", "diagnose-beta-negative", "diagnose-w-nan",
+        "rates-beta-negative", "rates-c0-nan", "rates-sigmoid-graphon", "rates-w0-short",
+        "rates-grid-steps-0"])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
-    (tmp_path / "d_x.cfg").write_text("dgp.d_x = 1.5\nn_list = 10,20,40,80\nreps = 50\n"
-                                      f"w0 = 0.5,0.5\nout.prefix = {d}/r\n")
-    (tmp_path / "n_list.cfg").write_text("n_list = 2,4,8,16\nreps = 50\n"
-                                         f"w0 = 0.5,0.5\nout.prefix = {d}/r\n")
+    for name, body in _BAD_RATES_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(body + f"out.prefix = {d}/r\n")
     before = sorted(os.listdir(d))
     capsys.readouterr()
     assert main([a.format(d=d) for a in argv]) == 2
@@ -198,6 +233,22 @@ def test_minimax_report(tmp_path):
         assert body["holder_pass"]
         assert body["woodbury_max_gap"] <= 1e-8
         assert body["kl_within_bound"]
+
+
+def test_minimax_builds_the_kernel_once(tmp_path, monkeypatch):
+    import dyadreg.minimax
+
+    built = []
+    make_kernel_real = dyadreg.minimax.make_kernel
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return make_kernel_real(*args, **kwargs)
+
+    monkeypatch.setattr(dyadreg.minimax, "make_kernel", counting)
+    out = str(tmp_path / "mm.json")
+    assert main(["minimax", "--n", "50,100,200", "--reps", "2", "--out", out]) == 0
+    assert len(built) == 1
 
 
 def test_minimax_refusal_exits_3_without_partial_output(tmp_path):

@@ -238,17 +238,15 @@ def test_load_refuses_incomplete_or_repeated_rows(tmp_path, case):
 
 
 def test_holder_function_wrapping_shipped_regressions():
-    from dyadreg.dgp import REGRESSION_FUNCS, HolderFunction
+    from dyadreg.dgp import REGRESSION_FUNCS
+    from dyadreg.minimax import holder_membership_check
 
     g = REGRESSION_FUNCS["sin_additive"]
-    hf = HolderFunction(g=lambda w: g(np.asarray(w)[..., :1], np.asarray(w)[..., 1:]),
-                        beta=2.0, l_const=5.0, d=2)
-    rep = hf.check(n_pairs=400, seed=2)
-    assert rep.passed
-    assert hf(np.array([0.5, 0.2])) == pytest.approx(math.sin(0.5) + math.sin(0.2))
+    gw = lambda w: g(np.asarray(w)[..., :1], np.asarray(w)[..., 1:])
+    assert holder_membership_check(gw, 2.0, 5.0, 2, n_pairs=400, seed=2).passed
+    assert gw(np.array([0.5, 0.2])) == pytest.approx(math.sin(0.5) + math.sin(0.2))
     # declaring an implausibly small constant fails the check
-    hf_bad = HolderFunction(g=hf.g, beta=2.0, l_const=0.05, d=2)
-    assert not hf_bad.check(n_pairs=400, seed=2).passed
+    assert not holder_membership_check(gw, 2.0, 0.05, 2, n_pairs=400, seed=2).passed
 
 
 def test_make_dgp_rejects_unknown():

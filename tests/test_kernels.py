@@ -34,6 +34,16 @@ def test_eval_dimension_mismatch_rejected():
         eval_kernel(k, [0.0])
 
 
+def test_eval_batch_matches_single_points(rng):
+    k = make_kernel("epanechnikov", 2)
+    pts = rng.uniform(-1.2, 1.2, size=(3, 4, 2))
+    vals = eval_kernel(k, pts)
+    assert vals.shape == (3, 4)
+    assert all(vals[i, j] == eval_kernel(k, pts[i, j]) for i in range(3) for j in range(4))
+    with pytest.raises(ValueError):
+        eval_kernel(k, np.zeros((5, 1)))
+
+
 def test_bump_eta_values():
     assert bump_eta(0.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert bump_eta(1.0) == 0.0

@@ -109,44 +109,44 @@ def test_woodbury_random_n6(rng):
 
 
 def test_hypothesis_null_is_zero():
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100)
-    assert hypothesis_g(con, 0, np.array([0.3, 0.7])) == 0.0
+    con = make_two_point(2.0, 1.0, 1.0, 1)
+    assert hypothesis_g(con, 0, np.array([0.3, 0.7]), 100) == 0.0
 
 
 def test_two_point_coincident_centers_peak():
     x0 = np.array([0.5])
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100, centers=(x0, x0))
-    h = con.h_n()
+    con = make_two_point(2.0, 1.0, 1.0, 1, centers=(x0, x0))
+    h = con.h_n(100)
     expect = 2.0 * 1.0 * h**2.0 * con.k_at_zero
-    assert hypothesis_g(con, 1, np.array([0.5, 0.5])) == pytest.approx(expect, rel=1e-12)
+    assert hypothesis_g(con, 1, np.array([0.5, 0.5]), 100) == pytest.approx(expect, rel=1e-12)
 
 
 def test_fano_disjoint_support_peaks():
-    con = make_fano(2.0, 1.0, 0.5, 1, 200)
-    centers = con.fano_centers()
-    h = con.h_n()
+    con = make_fano(2.0, 1.0, 0.5, 1)
+    centers = con.fano_centers(200)
+    h = con.h_n(200)
     w = np.array([centers[0, 0], centers[0, 0]])
     expect = 2.0 * h**2.0 * con.k_at_zero
-    assert hypothesis_g(con, 1, w) == pytest.approx(expect, rel=1e-12)
+    assert hypothesis_g(con, 1, w, 200) == pytest.approx(expect, rel=1e-12)
     for other in range(2, len(centers) + 1):
-        assert hypothesis_g(con, other, w) == 0.0
+        assert hypothesis_g(con, other, w, 200) == 0.0
 
 
 def test_fano_multi_index_addressing():
-    con = make_fano(2.0, 1.0, 0.5, 2, 200)
-    centers = con.fano_centers()
-    m = con.m_n()
+    con = make_fano(2.0, 1.0, 0.5, 2)
+    centers = con.fano_centers(200)
+    m = con.m_n(200)
     w = np.concatenate([centers[0], centers[0]])
-    assert hypothesis_g(con, (1, 1), w) == pytest.approx(hypothesis_g(con, 1, w), rel=1e-15)
+    assert hypothesis_g(con, (1, 1), w, 200) == pytest.approx(hypothesis_g(con, 1, w, 200), rel=1e-15)
 
 
 def test_separation_two_point_equality_at_bound():
     # well-separated centers: the cross bump terms vanish and the gap equals
     # 2 A psi_N = L h^beta K(0) exactly
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100, centers=(np.array([0.2]), np.array([0.8])))
+    con = make_two_point(2.0, 1.0, 1.0, 1, centers=(np.array([0.2]), np.array([0.8])))
     w0 = np.array([0.2, 0.8])
-    res = separation_check(con, 1, 0, [w0])
-    h = con.h_n()
+    res = separation_check(con, 1, 0, [w0], 100)
+    h = con.h_n(100)
     assert res.required == pytest.approx(1.0 * h**2 * con.k_at_zero, rel=1e-12)
     assert res.gap == pytest.approx(res.required, rel=1e-12)
     assert res.passed
@@ -154,33 +154,33 @@ def test_separation_two_point_equality_at_bound():
 
 
 def test_separation_fano_pairs():
-    con = make_fano(2.0, 1.0, 0.5, 1, 200)
-    centers = con.fano_centers()
+    con = make_fano(2.0, 1.0, 0.5, 1)
+    centers = con.fano_centers(200)
     grid = np.hstack([centers, centers])
-    h = con.h_n()
+    h = con.h_n(200)
     for k in range(1, len(centers) + 1):
         for l in range(k + 1, len(centers) + 1):
-            res = separation_check(con, k, l, grid)
+            res = separation_check(con, k, l, grid, 200)
             assert res.gap == pytest.approx(2.0 * h**2 * con.k_at_zero, rel=1e-12)
             assert res.passed
 
 
 def test_separation_same_hypothesis_trivial():
-    con = make_fano(2.0, 1.0, 0.5, 1, 200)
-    centers = con.fano_centers()
+    con = make_fano(2.0, 1.0, 0.5, 1)
+    centers = con.fano_centers(200)
     grid = np.hstack([centers, centers])
-    res = separation_check(con, 1, 1, grid)
+    res = separation_check(con, 1, 1, grid, 200)
     assert res.gap == 0.0 and res.required == 0.0 and res.passed
 
 
 def test_kl_zero_when_centers_outside_support():
-    con = make_two_point(2.0, 1.0, 1.0, 1, 50, centers=(np.array([5.0]), np.array([6.0])))
+    con = make_two_point(2.0, 1.0, 1.0, 1, centers=(np.array([5.0]), np.array([6.0])))
     rep = kl_two_point(con, 50, 50, 0)
     assert rep.kl_mean == 0.0 and rep.kl_se == 0.0
 
 
 def test_kl_two_point_within_bound():
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100)
+    con = make_two_point(2.0, 1.0, 1.0, 1)
     for n in (10, 100):
         rep = kl_two_point(con, n, 200, 0)
         assert rep.kl_mean <= rep.bound + 3.0 * rep.kl_se
@@ -188,19 +188,19 @@ def test_kl_two_point_within_bound():
 
 
 def test_kl_precondition_refusal():
-    con = make_two_point(2.0, 1.0, 0.05, 1, 10)
+    con = make_two_point(2.0, 1.0, 0.05, 1)
     with pytest.raises(AssumptionViolation, match="N h_N"):
         kl_two_point(con, 10, 10, 0)
 
 
 def test_fano_packing_degenerate_refusal():
-    con = make_fano(2.0, 1.0, 1.0, 1, 50)  # m = floor(1/0.6) = 1
+    con = make_fano(2.0, 1.0, 1.0, 1)  # m = floor(1/0.6) = 1 at N=50
     with pytest.raises(PackingDegenerate):
         fano_kl_average(con, 50, 10, 0)
 
 
 def test_fano_kl_average_bound_and_packing_size():
-    con = make_fano(2.0, 1.0, 0.5, 1, 200)
+    con = make_fano(2.0, 1.0, 0.5, 1)
     rep = fano_kl_average(con, 200, 100, 0)
     assert rep.avg_kl <= rep.bound + 3.0 * rep.kl_se
     assert rep.ln_m_n >= rep.ln_m_lower
@@ -209,25 +209,25 @@ def test_fano_kl_average_bound_and_packing_size():
 
 
 def test_fano_center_spacing_keeps_supports_disjoint():
+    con = make_fano(2.0, 1.0, 0.5, 1)
     for n in (50, 100, 200, 400):
-        con = make_fano(2.0, 1.0, 0.5, 1, n)
-        m = con.m_n()
-        assert 1.0 / m >= con.h_n() - 1e-15
+        m = con.m_n(n)
+        assert 1.0 / m >= con.h_n(n) - 1e-15
 
 
 def test_fano_center_bumps_pairwise_disjoint(rng):
     # the univariate center bumps are pairwise disjoint (this is what the KL
     # chain uses); the bivariate g_k share cross regions (x1 near one center,
     # x2 near another), so disjointness of g_k holds along the diagonal
-    con = make_fano(2.0, 1.0, 0.5, 1, 200)
-    centers = con.fano_centers()
-    h = con.h_n()
+    con = make_fano(2.0, 1.0, 0.5, 1)
+    centers = con.fano_centers(200)
+    h = con.h_n(200)
     m_total = len(centers)
     x = rng.uniform(-0.2, 1.2, size=(3000, 1))
     f = con.kernel.factor.fn
     bumps = np.stack([np.prod(f((x - c) / h), axis=-1) for c in centers])
     diag = np.hstack([x, x])
-    gs = np.stack([hypothesis_g(con, k, diag) for k in range(1, m_total + 1)])
+    gs = np.stack([hypothesis_g(con, k, diag, 200) for k in range(1, m_total + 1)])
     for k in range(m_total):
         for l in range(k + 1, m_total):
             assert np.all(bumps[k] * bumps[l] == 0.0)
@@ -235,7 +235,7 @@ def test_fano_center_bumps_pairwise_disjoint(rng):
 
 
 def test_kl_two_point_dx2_within_bound():
-    con = make_two_point(2.0, 1.0, 1.0, 2, 100,
+    con = make_two_point(2.0, 1.0, 1.0, 2,
                          centers=(np.array([0.3, 0.3]), np.array([0.7, 0.7])))
     rep = kl_two_point(con, 100, 150, 9)
     assert rep.kl_mean <= rep.bound + 3.0 * rep.kl_se
@@ -244,7 +244,7 @@ def test_kl_two_point_dx2_within_bound():
 
 def test_kl_two_point_beta_3half_lazy_amplitude():
     # no frozen amplitude for beta = 1.5: exercises the lazy bisection path
-    con = make_two_point(1.5, 1.0, 1.0, 1, 60)
+    con = make_two_point(1.5, 1.0, 1.0, 1)
     rep = kl_two_point(con, 60, 120, 13)
     assert rep.kl_mean <= rep.bound + 3.0 * rep.kl_se
     g = lambda pts: np.prod(con.kernel.factor.fn(np.asarray(pts, dtype=float)), axis=-1)
@@ -254,9 +254,9 @@ def test_kl_two_point_beta_3half_lazy_amplitude():
 
 
 def test_indicator_sum_at_most_one(rng):
-    con = make_fano(2.0, 1.0, 0.5, 1, 200)
-    centers = con.fano_centers()
-    h = con.h_n()
+    con = make_fano(2.0, 1.0, 0.5, 1)
+    centers = con.fano_centers(200)
+    h = con.h_n(200)
     x = rng.uniform(-0.5, 1.5, size=(5000, 1))
     inside = np.abs(x[:, None, :] - centers[None, :, :]) / h <= 0.5
     counts = np.sum(np.all(inside, axis=-1), axis=-1)
@@ -265,7 +265,7 @@ def test_indicator_sum_at_most_one(rng):
 
 def test_k_vector_second_moment_bound(rng):
     # E[(K((X-x10)/h) + K((X-x20)/h))^2] <= 4 h^d B3 Kmax^2
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100)
+    con = make_two_point(2.0, 1.0, 1.0, 1)
     h = con.h_n(100)
     law = uniform_law(1)
     c1, c2 = con.centers
@@ -325,8 +325,8 @@ def test_bump_kernel_passes_sigma_beta_half():
 
 
 def test_two_point_g1_in_holder_class():
-    con = make_two_point(2.0, 1.0, 1.0, 1, 100)
-    g1 = lambda w: hypothesis_g(con, 1, w)
+    con = make_two_point(2.0, 1.0, 1.0, 1)
+    g1 = lambda w: hypothesis_g(con, 1, w, 100)
     rep = holder_membership_check(g1, 2.0, 1.0, 2, n_pairs=800, seed=4,
                                   tol=0.05, box=(-0.25, 1.25))
     assert rep.passed
