@@ -77,6 +77,12 @@ def _spec(args):
         raise ConfigError(str(exc)) from None
 
 
+def _check_out_path(path: str | None, key: str):
+    """Refuse, before any work, an output path that is a directory or lies in none."""
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+        raise ConfigError(f"{key}: {path!r} is a directory or its directory does not exist")
+
+
 def _kernel(kernel_id: str, dim: int, key: str):
     """The kernel that option `key` names."""
     try:
@@ -158,20 +164,21 @@ _RATES_KEYS = {
 
 
 def _read_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} does not exist")
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, value = (tok.strip() for tok in line.split("=", 1))
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+                key, value = (tok.strip() for tok in line.split("=", 1))
+                if key in out:
+                    raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+                out[key] = value
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"config file {path!r}: {exc}") from None
     return out
 
 
@@ -222,8 +229,9 @@ def _cmd_rates(args) -> list[str]:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    fit = run_rate_experiment(exp)
     prefix = value("out.prefix")
+    _check_out_path(prefix, "out.prefix")
+    fit = run_rate_experiment(exp)
     outputs = [prefix + ".csv", prefix + ".fit.json", prefix + ".plot.dat"]
     for path, render in zip(outputs, (rate_rows_csv, rate_fit_json, plot_data)):
         with atomic_open(path) as fh:
@@ -380,6 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
     try:
+        _check_out_path(getattr(args, "out", None), "--out")  # rates names its outputs in its config
         outputs = args.func(args)
         if args.manifest:
             _write_run_manifest(args.subcommand, config, outputs)

@@ -93,7 +93,9 @@ def a_n_star(n_units: int, h: float, d_x: int, beta: float) -> float:
 
 def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> tuple[np.ndarray, np.ndarray]:
     """Per-unit weights (N, G): A[i, g] = prod_c k((x_ic - w_gc)/h) over the
-    first d_x coordinates of grid point w_g, B[j, g] likewise over the last d_x."""
+    first d_x coordinates of grid point w_g, B[j, g] likewise over the last d_x.
+    k runs once per distinct value of a grid coordinate; np.take gathers it into
+    C-ordered columns, so nw_estimate sums as for weights built point by point."""
     if kernel.dim != 2 * data.d_x:
         raise ValueError(f"kernel dim {kernel.dim} != 2 d_x = {2 * data.d_x}")
     if h <= 0:
@@ -102,11 +104,13 @@ def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> tuple[n
     if grid.ndim != 2 or grid.shape[1] != kernel.dim:
         raise ValueError(f"grid points must have length {kernel.dim}")
     d = data.d_x
-    a = np.ones((data.n_units, grid.shape[0]))
-    b = np.ones((data.n_units, grid.shape[0]))
-    for c in range(d):
-        a *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, c]) / h)
-        b *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, d + c]) / h)
+    def factor(c):
+        values, inverse = np.unique(grid[:, c], return_inverse=True)
+        return np.take(kernel.factor.fn((data.x[:, c % d, None] - values) / h), inverse, axis=1)
+    a, b = factor(0), factor(d)
+    for c in range(1, d):
+        a *= factor(c)
+        b *= factor(d + c)
     return a, b
 
 

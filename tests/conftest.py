@@ -2,6 +2,9 @@
 
 These deliberately loop over ordered pairs and call eval_kernel point by
 point, so they share no code path with the factorized production estimators.
+naive_weights is the exception: it builds the factorized per-unit weights, but
+evaluates the kernel factor at every (unit, grid point) pair, and is the
+bitwise reference for estimator._weights.
 """
 
 import numpy as np
@@ -31,6 +34,19 @@ def naive_pair_average(data, kernel, h, w, use_y=True, tau=None):
             else:
                 total += kij
     return total / (n * (n - 1))
+
+
+def naive_weights(data, kernel, h, grid):
+    """Per-unit weights A, B (N, G), one factor evaluation per unit, grid point
+    and coordinate."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    d = data.d_x
+    a = np.ones((data.n_units, grid.shape[0]))
+    b = np.ones((data.n_units, grid.shape[0]))
+    for c in range(d):
+        a *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, c]) / h)
+        b *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, d + c]) / h)
+    return a, b
 
 
 def naive_psi_hat(data, kernel, h, w):

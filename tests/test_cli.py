@@ -77,6 +77,7 @@ _BAD_RATES_CONFIGS = {
     "graphon": _RATES_BASE + "w0 = 0.5,0.5\ndgp.kind = sigmoid_graphon\n",
     "w0": _RATES_BASE + "w0 = 0.5\n",
     "steps": _RATES_BASE + "mode = sup-norm\ngrid.steps = 0\n",
+    "no-dir": _RATES_BASE + "w0 = 0.5,0.5\nout.prefix = {d}/nodir/r\n",
 }
 _EST = ["estimate", "--data", "{d}/d.csv", "--out", "{d}/o.csv"]
 _DIAG = ["diagnose", "--n", "50,100", "--out", "{d}/o.csv"]
@@ -113,6 +114,14 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
     ["rates", "--config", "{d}/graphon.cfg"],
     ["rates", "--config", "{d}/w0.cfg"],
     ["rates", "--config", "{d}/steps.cfg"],
+    ["simulate", "--n", "20", "--seed", "1", "--out", "{d}/nodir/o.csv"],
+    _EST + ["--grid", "0.2:0.8:9", "--out", "{d}/nodir/o.csv"],
+    _MINIMAX + ["--out", "{d}/nodir/o.json"],
+    _DIAG + ["--w", "0.5,0.5", "--out", "{d}/nodir/o.csv"],
+    ["rates", "--config", "{d}/no-dir.cfg"],
+    ["rates", "--config", "{d}"],
+    ["rates", "--config", "{d}/latin1.cfg"],
+    ["simulate", "--n", "20", "--seed", "1", "--out", "{d}"],
 ], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
         "estimate-missing-file", "rates-d_x-1.5", "rates-n_list-2", "minimax-n-1", "minimax-reps-1",
         "simulate-d-x-0", "diagnose-d-x-0",
@@ -120,12 +129,18 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
         "minimax-c0-negative", "estimate-beta-negative", "estimate-bandwidth-nan",
         "estimate-bandwidth-inf", "estimate-grid-nan", "diagnose-beta-negative", "diagnose-w-nan",
         "rates-beta-negative", "rates-c0-nan", "rates-sigmoid-graphon", "rates-w0-short",
-        "rates-grid-steps-0"])
+        "rates-grid-steps-0", "simulate-out-no-dir", "estimate-out-no-dir", "minimax-out-no-dir",
+        "diagnose-out-no-dir", "rates-prefix-no-dir", "rates-config-directory",
+        "rates-config-not-utf8", "simulate-out-is-directory"])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
     for name, body in _BAD_RATES_CONFIGS.items():
-        (tmp_path / f"{name}.cfg").write_text(body + f"out.prefix = {d}/r\n")
+        body += "" if "out.prefix" in body else "out.prefix = {d}/r\n"
+        (tmp_path / f"{name}.cfg").write_text(body.format(d=d))
+    # a valid config but for one Latin-1 byte in a comment
+    latin1 = "# caf\xe9\n" + _RATES_BASE + f"w0 = 0.5,0.5\nout.prefix = {d}/r\n"
+    (tmp_path / "latin1.cfg").write_bytes(latin1.encode("latin-1"))
     before = sorted(os.listdir(d))
     capsys.readouterr()
     assert main([a.format(d=d) for a in argv]) == 2

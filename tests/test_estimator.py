@@ -1,18 +1,20 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat
+from conftest import naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat, naive_weights
 
 from dyadreg.decomposition import hoeffding_decompose
 from dyadreg.dgp import DyadicDataset, make_dgp, replication_seed, simulate
 from dyadreg.errors import TruncationInfeasible
 from dyadreg.estimator import (BandwidthRule, TruncationRule, a_n, a_n_star, bandwidth,
-                               f_hat_w, nw_estimate, psi_hat, truncated_psi,
+                               _weights, f_hat_w, nw_estimate, psi_hat, truncated_psi,
                                truncation_bounds, truncation_threshold)
-from dyadreg.kernels import make_kernel
+from dyadreg.kernels import KERNEL_IDS, make_kernel
+from dyadreg.rates import product_grid
 
 
 def test_bandwidth_uniform_optimal():
@@ -307,3 +309,61 @@ def test_oracle_equivalence_small_instances(d_x, rng):
         h = float(rng.uniform(0.2, 0.8))
         assert psi_hat(data, k, h, w) == pytest.approx(naive_psi_hat(data, k, h, w), rel=1e-12)
         assert f_hat_w(data, k, h, w) == pytest.approx(naive_f_hat(data, k, h, w), rel=1e-12)
+
+
+def _grids(d_x, rng):
+    scattered = rng.uniform(0.0, 1.0, (30, 2 * d_x))
+    return {
+        "product": product_grid(0.1, 0.9, 5 if d_x == 2 else 9, 2 * d_x),
+        "scattered": scattered,
+        "one-point": np.full((1, 2 * d_x), 0.45),
+        "repeated-rows": np.vstack([scattered[:8], scattered[:8], scattered[2:5]]),
+    }
+
+
+@pytest.mark.parametrize("d_x", [1, 2])
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+def test_weights_equal_point_by_point_weights_bitwise(kernel_id, d_x, rng, monkeypatch):
+    kernel = make_kernel(kernel_id, 2 * d_x)
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=d_x), 60, 17)
+    h = 0.35
+    for name, grid in _grids(d_x, rng).items():
+        a, b = _weights(data, kernel, h, grid)
+        a_ref, b_ref = naive_weights(data, kernel, h, grid)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref), name
+        assert all(m.flags.c_contiguous for m in (a, b, a_ref, b_ref)), name
+        res = nw_estimate(data, kernel, h, grid)
+        with monkeypatch.context() as m:
+            m.setattr("dyadreg.estimator._weights", naive_weights)
+            ref = nw_estimate(data, kernel, h, grid)
+        for field in ("g_hat", "f_hat", "defined"):
+            assert getattr(res, field).tobytes() == getattr(ref, field).tobytes(), (name, field)
+
+
+def test_product_grid_with_repeated_halves_matches_oracle():
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=2), 11, 23)
+    k = make_kernel("gaussian", 4)
+    grid = product_grid(0.2, 0.8, 3, 4)
+    res = nw_estimate(data, k, 0.4, grid)
+    for idx, w in enumerate(grid):
+        g_ref, f_ref = naive_nw(data, k, 0.4, w)
+        assert res.f_hat[idx] == pytest.approx(f_ref, rel=1e-12)
+        assert res.defined[idx]
+        assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12)
+
+
+def test_kernel_factor_evaluated_once_per_distinct_coordinate():
+    d_x, n = 2, 40
+    kernel = make_kernel("epanechnikov", 2 * d_x)
+    evaluated = []
+
+    def counted(t):
+        evaluated.append(np.size(t))
+        return kernel.factor.fn(t)
+
+    counting = replace(kernel, factor=replace(kernel.factor, fn=counted))
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=d_x), n, 5)
+    grid = product_grid(0.2, 0.8, 7, 2 * d_x)
+    res = nw_estimate(data, counting, 0.5, grid)
+    assert sum(evaluated) <= 2 * d_x * n * 7
+    assert np.array_equal(res.f_hat, nw_estimate(data, kernel, 0.5, grid).f_hat)
