@@ -3,10 +3,8 @@
 For unordered pairs, Z_ij = (1/2)[Y_ij 1(|Y_ij|<tau) K_h(W_ij - w)
 + Y_ji 1(|Y_ji|<tau) K_h(W_ji - w)], and the statistic is the pair average
 of Z. The data-based projection uses row means R_i = mean_j Z_ij and the
-grand mean; because sum_i (R_i - mean) = 0 identically on the complete dyad
-array, the scalar projection terms t1 and t2 vanish exactly (the identity
-statistic = mean + t1 + t2 is exact but degenerate). The variance diagnostics
-therefore come from within-replication variance-component estimates:
+grand mean, and the variance diagnostics come from within-replication
+variance-component estimates:
 
     var1_hat ~ Var(T_1) = (4/N) Var(E[Z|unit i]),   via centered row means
                (with the row-mean noise bias removed),
@@ -30,17 +28,14 @@ __all__ = ["HoeffdingParts", "DominanceRow", "hoeffding_decompose", "variance_do
 @dataclass(frozen=True)
 class HoeffdingParts:
     statistic: float
-    mean_term: float
-    t1: float
-    t2: float
     unit_contributions: np.ndarray
     var1_hat: float
     var2_hat: float
 
 
 def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) -> HoeffdingParts:
-    """Exact algebraic split statistic = mean_term + t1 + t2 plus the
-    projection / degenerate variance-component estimates."""
+    """The statistic with its centered unit contributions and the projection /
+    degenerate variance-component estimates."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     n = data.n_units
@@ -50,20 +45,15 @@ def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) ->
     z = 0.5 * (m + m.T)           # symmetric; Z_ij for unordered pairs, zero diagonal
     n_pairs = n * (n - 1) // 2
     statistic = float(np.sum(z) / 2.0 / n_pairs)
-    mean_term = statistic
     row_means = z.sum(axis=1) / (n - 1)
-    uc = row_means - mean_term
-    t1 = 2.0 / n * float(np.sum(uc))
-    t2 = statistic - mean_term - t1
-
-    resid = z - row_means[:, None] - row_means[None, :] + mean_term
+    uc = row_means - statistic
+    resid = z - row_means[:, None] - row_means[None, :] + statistic
     np.fill_diagonal(resid, 0.0)
     resid_ms = float(np.sum(resid**2) / 2.0 / n_pairs)
     s2_uc = float(np.sum(uc**2) / (n - 1))
     var1 = 4.0 / n * max(s2_uc - resid_ms / (n - 1), 0.0)
     var2 = resid_ms / n_pairs
-    return HoeffdingParts(statistic=statistic, mean_term=mean_term, t1=t1, t2=t2,
-                          unit_contributions=uc, var1_hat=var1, var2_hat=var2)
+    return HoeffdingParts(statistic=statistic, unit_contributions=uc, var1_hat=var1, var2_hat=var2)
 
 
 @dataclass(frozen=True)

@@ -114,22 +114,21 @@ def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> tuple[n
     return a, b
 
 
-def _pair_average(data: DyadicDataset, kernel: KernelSpec, h: float, w,
-                  y_matrix: np.ndarray | None) -> float:
-    """(1/N(N-1)) sum_{i != j} M_ij K_h(W_ij - w) with M = y_matrix or ones."""
-    n = data.n_units
-    a, b = (m[:, 0] for m in _weights(data, kernel, h, [w]))
-    if y_matrix is None:
-        total = a.sum() * b.sum() - float(a @ b)
-    else:
-        total = float(a @ (y_matrix @ b))  # diagonal of y_matrix is zero
+def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
+               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair averages (psi, f) over the grid: psi contracts the outcome matrix y
+    (zero diagonal) as a^T y b, f the all-ones matrix off the diagonal."""
+    a, b = _weights(data, kernel, h, grid)
+    n = a.shape[0]
     scale = h ** (-kernel.dim) / (n * (n - 1))
-    return total * scale
+    psi = np.einsum("ng,ng->g", a, y @ b) * scale
+    f = (a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)) * scale
+    return psi, f
 
 
 def psi_hat(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
     """Kernel-weighted outcome average over ordered pairs."""
-    return _pair_average(data, kernel, h, w, data.y)
+    return float(_pair_sums(data, kernel, h, [w], data.y)[0][0])
 
 
 def truncated_psi(data: DyadicDataset, kernel: KernelSpec, h: float, tau: float, w) -> float:
@@ -137,12 +136,12 @@ def truncated_psi(data: DyadicDataset, kernel: KernelSpec, h: float, tau: float,
     tau exceeds max |Y_ij|."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    return _pair_average(data, kernel, h, w, data.y * (np.abs(data.y) < tau))
+    return float(_pair_sums(data, kernel, h, [w], data.y * (np.abs(data.y) < tau))[0][0])
 
 
 def f_hat_w(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
     """Kernel density estimate of f_W at w (outcome-free pair average)."""
-    return _pair_average(data, kernel, h, w, None)
+    return float(_pair_sums(data, kernel, h, [w], data.y)[1][0])
 
 
 @dataclass(frozen=True)
@@ -161,14 +160,10 @@ def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwRe
     """Regression estimates over a grid; per-point undefined markers where the
     density estimate falls below the denominator cutoff, never a crash."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    a, b = _weights(data, kernel, h, grid)
-    n, g_count = a.shape
-    scale = h ** (-kernel.dim) / (n * (n - 1))
-    num = np.einsum("ng,ng->g", a, data.y @ b) * scale
-    den = (a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)) * scale
+    num, den = _pair_sums(data, kernel, h, grid, data.y)
     eps_denom = 1e-12 * kernel.k_max * h ** (-kernel.dim)
     defined = den > eps_denom
-    g_hat = np.full(g_count, np.nan)
+    g_hat = np.full(den.shape, np.nan)
     np.divide(num, den, out=g_hat, where=defined)
     return NwResult(grid=grid, g_hat=g_hat, f_hat=den, defined=defined)
 
@@ -179,17 +174,11 @@ def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwRe
 
 @dataclass(frozen=True)
 class TruncationRule:
-    s: float                     # moment order (> 2, or math.inf for bounded Y)
-    mode: str = "geometric-mean"
-    tau_override: float | None = None
+    s: float  # moment order (> 2, or math.inf for bounded Y)
 
     def __post_init__(self):
-        if self.mode not in ("geometric-mean", "explicit"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
         if not (self.s > 2):
             raise ValueError("moment order s must exceed 2")
-        if self.mode == "explicit" and (self.tau_override is None or self.tau_override <= 0):
-            raise ValueError("explicit mode requires a positive tau_override")
 
 
 @dataclass(frozen=True)
@@ -212,19 +201,19 @@ def truncation_bounds(s: float, n_units: int, h: float, d_x: int) -> TruncationB
     upper_dev = 1.0 / a
     upper_deg = (n / math.log(n)) * h ** (1.5 * d_x)
     if math.isinf(s):
-        # lower bounds degenerate as s -> inf
-        lower_bias = 1.0
-        lower_res = 1.0
+        lower_bias = lower_res = 1.0
+        name_lo = "1 (lower bounds degenerate, s = inf)"
     else:
         phi = (math.log(math.log(n))) ** 2 * math.log(n)
         lower_bias = a ** (-1.0 / (s - 1.0))
         lower_res = min((n**2 * phi) ** (1.0 / s), (a * h ** (2 * d_x)) ** (-1.0 / (s - 1.0)))
+        name_lo = ("a_N^(-1/(s-1))" if lower_bias > lower_res
+                   else "min((N^2 phi_N)^(1/s), (a_N h^(2 d_x))^(-1/(s-1)))")
     lower = max(lower_bias, lower_res)
     upper = min(upper_dev, upper_deg)
     feasible = lower < upper
-    names_lo = {lower_bias: "a_N^(-1/(s-1))", lower_res: "min((N^2 phi_N)^(1/s), (a_N h^(2 d_x))^(-1/(s-1)))"}
-    names_hi = {upper_dev: "a_N^(-1)", upper_deg: "(N/ln N) h^(3/2 d_x)"}
-    binding = f"{names_lo[lower]} vs {names_hi[upper]}"
+    name_hi = "a_N^(-1)" if upper_dev < upper_deg else "(N/ln N) h^(3/2 d_x)"
+    binding = f"{name_lo} vs {name_hi}"
     return TruncationBounds(upper_deviation=upper_dev, upper_degenerate=upper_deg,
                             lower_bias=lower_bias, lower_residual=lower_res,
                             lower=lower, upper=upper, feasible=feasible,
@@ -235,8 +224,6 @@ def truncation_threshold(rule: TruncationRule, n_units: int, h: float, d_x: int)
     """Geometric midpoint of the feasible threshold interval (log scale);
     with s = inf the lower bounds degenerate and the threshold is the square
     root of the product of the two upper bounds."""
-    if rule.mode == "explicit":
-        return rule.tau_override
     tb = truncation_bounds(rule.s, n_units, h, d_x)
     if not tb.feasible:
         raise TruncationInfeasible(

@@ -16,17 +16,14 @@ def test_zero_outcomes_all_parts_zero():
     k = make_kernel("epanechnikov", 2)
     parts = hoeffding_decompose(data, k, 0.5, math.inf, W0)
     assert parts.statistic == 0.0
-    assert parts.mean_term == 0.0
-    assert parts.t1 == 0.0
-    assert parts.t2 == 0.0
     assert parts.var1_hat == 0.0
     assert parts.var2_hat == 0.0
 
 
 def test_unit_additive_outcomes_flat_kernel_have_no_degenerate_part():
     # Y_ij = c_i + c_j with a kernel that is constant over all observed pairs:
-    # the projection captures the structure, so t2 vanishes and the degenerate
-    # variance component is dominated by the projection component (the row-mean
+    # the projection captures the structure, so the degenerate variance
+    # component is dominated by the projection component (the row-mean
     # residual keeps only an O(1/N) additive leakage).
     n = 4
     c = np.array([0.5, -1.0, 2.0, 0.25])
@@ -35,17 +32,15 @@ def test_unit_additive_outcomes_flat_kernel_have_no_degenerate_part():
     data = DyadicDataset(x=x, y=y)
     k = make_kernel("boxcar", 2)
     parts = hoeffding_decompose(data, k, 50.0, math.inf, W0)
-    assert abs(parts.t2) < 1e-12
     assert parts.var1_hat > 0.0
     assert parts.var2_hat < 0.1 * parts.var1_hat
 
 
-def test_identity_reconstructs_statistic():
+def test_statistic_equals_truncated_psi():
     data = simulate(make_dgp("theorem1", "sin_additive"), 8, 21)
     k = make_kernel("gaussian", 2)
     tau = 2.0
     parts = hoeffding_decompose(data, k, 0.4, tau, W0)
-    assert abs(parts.statistic - (parts.mean_term + parts.t1 + parts.t2)) < 1e-12
     assert parts.statistic == pytest.approx(truncated_psi(data, k, 0.4, tau, W0), rel=1e-12)
 
 
@@ -54,7 +49,6 @@ def test_unit_contributions_center_to_zero():
     k = make_kernel("gaussian", 2)
     parts = hoeffding_decompose(data, k, 0.4, math.inf, W0)
     assert abs(float(np.sum(parts.unit_contributions))) < 1e-12
-    assert abs(parts.t1) < 1e-12  # exact algebraic degeneracy of the scalar projection
 
 
 def test_dominance_ratio_falls_with_n():

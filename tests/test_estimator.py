@@ -253,13 +253,23 @@ def test_truncation_infeasible_small_n_heavy_tail():
         truncation_threshold(TruncationRule(s=2.1), 50, h, 1)
 
 
-def test_truncation_explicit_mode():
-    rule = TruncationRule(s=4.0, mode="explicit", tau_override=7.5)
-    assert truncation_threshold(rule, 100, 0.5, 1) == 7.5
+def test_truncation_rule_requires_s_above_two():
     with pytest.raises(ValueError):
         TruncationRule(s=2.0)
-    with pytest.raises(ValueError):
-        TruncationRule(s=4.0, mode="explicit")
+
+
+def test_truncation_binding_label_s_inf_names_degenerate_lower_bound():
+    h = bandwidth(BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1), 50)
+    tb = truncation_bounds(math.inf, 50, h, 1)
+    assert tb.lower_bias == tb.lower_residual == 1.0
+    assert tb.binding == "1 (lower bounds degenerate, s = inf) vs a_N^(-1)"
+
+
+def test_truncation_binding_label_s4():
+    h = bandwidth(BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1), 10_000)
+    tb = truncation_bounds(4.0, 10_000, h, 1)
+    assert tb.lower_residual > tb.lower_bias and tb.upper_deviation < tb.upper_degenerate
+    assert tb.binding == "min((N^2 phi_N)^(1/s), (a_N h^(2 d_x))^(-1/(s-1))) vs a_N^(-1)"
 
 
 def test_grid_batch_matches_single_point_evaluations():
@@ -273,6 +283,26 @@ def test_grid_batch_matches_single_point_evaluations():
         assert res.f_hat[idx] == pytest.approx(f, rel=1e-12)
         if res.defined[idx]:
             assert res.g_hat[idx] == pytest.approx(p / f, rel=1e-12)
+
+
+@pytest.mark.parametrize("d_x", [1, 2])
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+def test_one_point_estimators_equal_grid_estimate_bitwise(kernel_id, d_x, rng):
+    k = make_kernel(kernel_id, 2 * d_x)
+    spec = make_dgp("theorem1", "sin_additive", d_x=d_x)
+    for n in (3, 7, 60, 200):
+        data = simulate(spec, n, 31 * n + d_x)
+        tau = float(np.max(np.abs(data.y))) * 1.01
+        for _ in range(3):
+            w = rng.uniform(0.2, 0.8, 2 * d_x)
+            h = float(rng.uniform(0.2, 0.8))
+            res = nw_estimate(data, k, h, [w])
+            f = f_hat_w(data, k, h, w)
+            psi = psi_hat(data, k, h, w)
+            assert f == res.f_hat[0]
+            if res.defined[0]:
+                assert psi / f == res.g_hat[0]
+            assert truncated_psi(data, k, h, tau, w) == psi
 
 
 def test_bias_shrinks_at_order_h_to_beta():

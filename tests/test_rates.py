@@ -43,7 +43,7 @@ def test_fit_exponent_rejects_nonpositive_with_warning():
         fit = fit_exponent(pts)
     assert any("nonpositive" in str(w.message) for w in caught)
     assert fit.slope == pytest.approx(-1.0, abs=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), pytest.warns(UserWarning, match="nonpositive"):
         fit_exponent([(50, 1.0), (100, -1.0), (200, 0.5), (400, 0.2)])
 
 
