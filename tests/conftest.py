@@ -4,13 +4,15 @@ These deliberately loop over ordered pairs and call eval_kernel point by
 point, so they share no code path with the factorized production estimators.
 naive_weights is the exception: it builds the factorized per-unit weights, but
 evaluates the kernel factor at every (unit, grid point) pair, and is the
-bitwise reference for estimator._weights.
+bitwise reference for estimator._weights. naive_simulate is the bitwise
+reference for dgp.simulate: one draw of every pair's V at once, scattered into
+an N x N matrix.
 """
 
 import numpy as np
 import pytest
 
-from dyadreg.dgp import make_dgp
+from dyadreg.dgp import _ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _stream, make_dgp
 from dyadreg.estimator import BandwidthRule
 from dyadreg.kernels import eval_kernel
 from dyadreg.rates import RateExperiment, run_rate_experiment
@@ -63,6 +65,44 @@ def naive_nw(data, kernel, h, w):
     if den <= 1e-12 * kernel.k_max * h ** (-kernel.dim):
         return np.nan, den
     return num / den, den
+
+
+def naive_latents(spec, n_units, seed):
+    """(x, u, v_pairs) with v_pairs drawn in one call: v_pairs[p] = (V_ij, V_ji)
+    for the p-th pair i < j in lexicographic order."""
+    x = spec.regressor_law.sample(_stream(seed, _ROLE_X), n_units)
+    x = np.asarray(x, dtype=float).reshape(n_units, spec.d_x)
+    u = _stream(seed, _ROLE_U).standard_normal(n_units)
+    n_pairs = n_units * (n_units - 1) // 2
+    v_pairs = _stream(seed, _ROLE_V).standard_normal((n_pairs, 2))
+    return x, u, v_pairs
+
+
+def naive_simulate(spec, n_units, seed):
+    """The dataset of the seed contract: V scattered through triu_indices, then
+    Y = g + U_i + U_j + V (or the graphon of the same latents)."""
+    x, u, v_pairs = naive_latents(spec, n_units, seed)
+    v = np.zeros((n_units, n_units))
+    iu, ju = np.triu_indices(n_units, k=1)
+    v[iu, ju] = v_pairs[:, 0]
+    v[ju, iu] = v_pairs[:, 1]
+    x1 = x[:, None, :]
+    x2 = x[None, :, :]
+    if spec.kind == "gaussian-regression":
+        y = spec.g(x1, x2) + u[:, None] + u[None, :]
+        y += v
+    else:
+        y = spec.graphon(x1, x2, u[:, None], u[None, :], v)
+    return DyadicDataset(x=x, y=y)
+
+
+def replace_cell(path, line, field, text):
+    """Put `text` in comma-separated field `field` of line `line` (from 1) of a file."""
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[field] = text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture

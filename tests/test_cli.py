@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from conftest import replace_cell
 from dyadreg.cli import main
 from dyadreg.dgp import load_dataset, make_dgp, simulate
 from dyadreg.estimator import BandwidthRule, bandwidth, nw_estimate
@@ -80,6 +82,9 @@ _BAD_RATES_CONFIGS = {
     "no-dir": _RATES_BASE + "w0 = 0.5,0.5\nout.prefix = {d}/nodir/r\n",
 }
 _EST = ["estimate", "--data", "{d}/d.csv", "--out", "{d}/o.csv"]
+# dataset name -> (file suffix, line, field, text): a copy of d.csv with one cell replaced
+_BAD_CELLS = {"nan-y": (".csv", 5, 2, "nan"), "abc-y": (".csv", 3, 2, "abc"),
+              "nan-x": (".units.csv", 4, 1, "nan")}
 _DIAG = ["diagnose", "--n", "50,100", "--out", "{d}/o.csv"]
 _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
 
@@ -122,6 +127,8 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
     ["rates", "--config", "{d}"],
     ["rates", "--config", "{d}/latin1.cfg"],
     ["simulate", "--n", "20", "--seed", "1", "--out", "{d}"],
+    *[["estimate", "--data", f"{{d}}/{name}.csv", "--grid", "0.2:0.8:3", "--out", "{d}/o.csv"]
+      for name in _BAD_CELLS],
 ], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
         "estimate-missing-file", "rates-d_x-1.5", "rates-n_list-2", "minimax-n-1", "minimax-reps-1",
         "simulate-d-x-0", "diagnose-d-x-0",
@@ -131,7 +138,8 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
         "rates-beta-negative", "rates-c0-nan", "rates-sigmoid-graphon", "rates-w0-short",
         "rates-grid-steps-0", "simulate-out-no-dir", "estimate-out-no-dir", "minimax-out-no-dir",
         "diagnose-out-no-dir", "rates-prefix-no-dir", "rates-config-directory",
-        "rates-config-not-utf8", "simulate-out-is-directory"])
+        "rates-config-not-utf8", "simulate-out-is-directory",
+        *[f"estimate-{name}" for name in _BAD_CELLS]])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
@@ -141,6 +149,10 @@ def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     # a valid config but for one Latin-1 byte in a comment
     latin1 = "# caf\xe9\n" + _RATES_BASE + f"w0 = 0.5,0.5\nout.prefix = {d}/r\n"
     (tmp_path / "latin1.cfg").write_bytes(latin1.encode("latin-1"))
+    for name, (suffix, line, field, text) in _BAD_CELLS.items():
+        for part in (".csv", ".units.csv", ".manifest.json"):
+            shutil.copy(tmp_path / f"d{part}", tmp_path / f"{name}{part}")
+        replace_cell(tmp_path / f"{name}{suffix}", line, field, text)
     before = sorted(os.listdir(d))
     capsys.readouterr()
     assert main([a.format(d=d) for a in argv]) == 2

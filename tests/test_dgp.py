@@ -1,13 +1,17 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 from scipy.stats import ks_2samp
 
-from dyadreg.dgp import (DyadicDataset, dyad_moment_bounds, load_dataset, make_dgp,
-                         save_dataset, simulate, simulate_latents, true_g_on_grid,
-                         truncnorm_law, uniform_law)
+from conftest import naive_latents, naive_simulate, replace_cell
+from dyadreg import dgp
+from dyadreg.dgp import (DGP_KINDS, DgpSpec, DyadicDataset, HolderInfo, dyad_moment_bounds,
+                         load_dataset, make_dgp, save_dataset, simulate, simulate_latents,
+                         true_g_on_grid, truncnorm_law, uniform_law)
 from dyadreg.errors import AssumptionViolation
 
 
@@ -56,6 +60,102 @@ def test_seed_determinism_bit_identical():
     assert np.array_equal(d1.y, d2.y, equal_nan=True)
     d3 = simulate(spec, 15, 10)
     assert not np.array_equal(d1.y, d3.y, equal_nan=True)
+
+
+_B = dgp._V_BLOCK_ROWS
+_ORACLE_SIZES = (2, 3, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 300)
+_THREADED_N = dgp._V_THREAD_MIN_UNITS
+
+
+@pytest.mark.parametrize("threaded", [True, False], ids=["helper-thread", "calling-thread"])
+@pytest.mark.parametrize("law", ["uniform", "truncnorm"])
+@pytest.mark.parametrize("d_x", [1, 2])
+@pytest.mark.parametrize("kind", DGP_KINDS)
+def test_simulate_is_bitwise_the_one_shot_oracle(monkeypatch, kind, d_x, law, threaded):
+    spec = make_dgp(kind, d_x=d_x, law=law)
+    monkeypatch.setattr(dgp, "_V_THREAD_MIN_UNITS", 2 if threaded else 10**9)
+    real_blocks = dgp._v_blocks
+    consumed = []
+
+    def recorded(seed, n_units, reuse=()):
+        for r0, r1, vb in real_blocks(seed, n_units, reuse):
+            consumed.append((r0, r1, vb.copy()))  # before its array is drawn into again
+            yield r0, r1, vb
+
+    monkeypatch.setattr(dgp, "_v_blocks", recorded)
+    for n in _ORACLE_SIZES:
+        for seed in (0, 7, 2**40 + 3):
+            consumed.clear()
+            got, want = simulate(spec, n, seed), naive_simulate(spec, n, seed)
+            assert got.x.tobytes() == want.x.tobytes(), (n, seed)
+            assert got.y.tobytes() == want.y.tobytes(), (n, seed)
+            rows = [(r0, r1) for r0, r1, _ in consumed]
+            assert rows == [(r0, min(r0 + _B, n - 1)) for r0 in range(0, n - 1, _B)]
+            v_pairs = np.concatenate([vb for _, _, vb in consumed])
+            latents = simulate_latents(spec, n, seed)
+            assert v_pairs.tobytes() == latents[2].tobytes(), (n, seed)
+            for a, b in zip(latents, naive_latents(spec, n, seed)):
+                assert a.tobytes() == b.tobytes(), (n, seed)
+
+
+def _raising_on_second_block(real_blocks):
+    def blocks(seed, n_units, reuse=()):
+        for k, block in enumerate(real_blocks(seed, n_units, reuse)):
+            if k == 1:
+                raise RuntimeError("second V block")
+            yield block
+
+    return blocks
+
+
+def _raising(*args):
+    raise RuntimeError("bad outcome function")
+
+
+@pytest.mark.parametrize("kind", ["theorem1", "sigmoid_graphon"])
+def test_v_draw_error_reaches_caller_and_ends_the_helper(monkeypatch, kind):
+    before = threading.active_count()
+    monkeypatch.setattr(dgp, "_v_blocks", _raising_on_second_block(dgp._v_blocks))
+    with pytest.raises(RuntimeError, match="second V block"):
+        simulate(make_dgp(kind), _THREADED_N, 1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("mode", ["g", "graphon"])
+def test_outcome_error_reaches_caller_and_ends_the_helper(mode):
+    spec = DgpSpec(kind="gaussian-regression" if mode == "g" else "graphon", name="raising",
+                   regressor_law=uniform_law(1), holder=HolderInfo(2.0, 5.0), **{mode: _raising})
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="bad outcome function"):
+        simulate(spec, _THREADED_N, 1)
+    assert threading.active_count() == before
+
+
+def test_concurrent_simulate_calls_match_serial_ones():
+    spec = make_dgp("theorem1", "sin_additive")
+    jobs = [(n, seed) for n in (_B + 2, _THREADED_N) for seed in range(3)]
+    serial = {job: simulate(spec, *job).y.tobytes() for job in jobs}
+    results, errors = {}, []
+
+    def worker(k):
+        try:
+            for job in jobs[k:] + jobs[:k]:
+                results[k, job] = simulate(spec, *job).y.tobytes()
+        except Exception as exc:  # reported below, in the test's own thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert results == {(k, job): serial[job] for k in range(4) for job in jobs}
 
 
 def test_diagonal_is_structurally_absent():
@@ -235,6 +335,22 @@ def test_load_refuses_incomplete_or_repeated_rows(tmp_path, case):
     target.write_text("\n".join([header] + corrupt(rows)) + "\n")
     with pytest.raises(ValueError, match=name):
         load_dataset(path)
+
+
+# file, line, field, text: each a cell that is not an integer index or a finite number
+_BAD_FIELDS = [("d.csv", 5, 2, "nan"), ("d.csv", 3, 2, "abc"), ("d.csv", 9, 2, "-inf"),
+               ("d.csv", 2, 0, "1.0"), ("d.units.csv", 4, 1, "nan"), ("d.units.csv", 3, 0, "")]
+
+
+@pytest.mark.parametrize("name,line,field,text", _BAD_FIELDS)
+def test_load_names_the_file_line_and_text_of_a_bad_field(tmp_path, name, line, field, text):
+    path = str(tmp_path / "d.csv")
+    save_dataset(simulate(make_dgp("theorem1", "sin_additive"), 6, 1), path)
+    target = tmp_path / name
+    replace_cell(target, line, field, text)
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{target}, line {line}: {text!r} is not ")
 
 
 def test_holder_function_wrapping_shipped_regressions():
