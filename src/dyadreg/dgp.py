@@ -4,11 +4,9 @@ Outcomes follow Y_ij = h(X_i, X_j, U_i, U_j, V_ij) for ordered pairs i != j.
 The gaussian-regression mode fixes h = g(X_i, X_j) + U_i + U_j + V_ij with
 U, V standard normal, which is the model the minimax bounds are stated for.
 Latent draws come from Philox streams keyed by (seed, role) so a dataset is
-bit-identical given (spec, n_units, seed). `simulate` draws V in row blocks,
-from N = 512 on one helper thread per call, joined before it returns, while
-the calling thread assembles Y; the blocks are the one V stream read in order,
-so the dataset is the same as from one draw of every pair, and there is
-nothing to configure.
+bit-identical given (spec, n_units, seed). `simulate` draws V in row blocks
+and adds them into Y in place; the blocks are the one V stream read in order,
+so the dataset is the same as from one draw of every pair.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ import csv
 import json
 import math
 import os
-import queue
 import secrets
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -251,30 +247,19 @@ def _units(spec: DgpSpec, n_units: int, seed: int):
 
 
 _V_BLOCK_ROWS = 64  # with 128, times best of 16 to 256 rows at N = 800 and 1200
-_V_ARRAYS = 3  # lets the helper draw up to two blocks ahead of the caller
-# Below this many units simulate draws V on the calling thread. Starting and
-# joining the helper costs about 0.4 ms; on an idle 2-core host the overlap
-# pays for it from N of about 220, but with the host loaded the helper path
-# was 20% slower than drawing inline at N=400, and as fast at N=800.
-_V_THREAD_MIN_UNITS = 8 * _V_BLOCK_ROWS
 
 
-def _v_blocks(seed: int, n_units: int, reuse=()):
+def _v_blocks(seed: int, n_units: int):
     """V in consecutive row blocks (r0, r1, vb): vb[p] = (V_ij, V_ji) for the
     pairs (i, j > i) of rows r0 <= i < r1, row by row. One Philox stream read
     in order, so the blocks concatenate to one draw of every pair at once.
-    Each block is drawn into the next array of `reuse`, cut to its size, and
-    into a new array once `reuse` runs out."""
+    Every block is drawn into one array: vb holds until the next is drawn."""
     rng = _stream(seed, _ROLE_V)
-    reuse = iter(reuse)
+    array = np.empty((min(_V_BLOCK_ROWS, n_units - 1) * (n_units - 1), 2))
     for r0 in range(0, n_units - 1, _V_BLOCK_ROWS):
         r1 = min(r0 + _V_BLOCK_ROWS, n_units - 1)
         n_pairs = (r1 - r0) * (2 * n_units - r0 - r1 - 1) // 2
-        array = next(reuse, None)
-        if array is None:
-            yield r0, r1, rng.standard_normal((n_pairs, 2))
-        else:
-            yield r0, r1, rng.standard_normal(out=array[:n_pairs])
+        yield r0, r1, rng.standard_normal(out=array[:n_pairs])
 
 
 def _upper(n_units: int, r0: int, r1: int) -> np.ndarray:
@@ -282,92 +267,40 @@ def _upper(n_units: int, r0: int, r1: int) -> np.ndarray:
     return np.arange(n_units) > np.arange(r0, r1)[:, None]
 
 
-@contextlib.contextmanager
-def _v_drawn_ahead(seed: int, n_units: int):
-    """Yield an iterator over _v_blocks(seed, n_units), drawn ahead on a helper
-    thread that is started here and joined on exit. The blocks are drawn into
-    _V_ARRAYS arrays allocated on this thread, so its heap, not one the helper
-    would keep, holds them: taking a block hands the array of the one before
-    back to be drawn into again (row blocks only shrink, so it is large
-    enough). An exception raised on the helper is raised here in its place;
-    one raised here stops the helper after the block it is drawing."""
-    free = queue.SimpleQueue()
-    for _ in range(_V_ARRAYS):
-        free.put(np.empty((_V_BLOCK_ROWS * (n_units - 1), 2)))
-    ready = queue.SimpleQueue()
-    stop = threading.Event()
-
-    def spare():
-        while (array := free.get()) is not None:
-            yield array
-
-    def draw():
-        try:
-            for block in _v_blocks(seed, n_units, spare()):
-                ready.put(block)
-                if stop.is_set():
-                    return
-        except BaseException as exc:  # re-raised by the caller, in take()
-            ready.put(exc)
-            return
-        ready.put(None)
-
-    def take():
-        while (block := ready.get()) is not None:
-            if isinstance(block, BaseException):
-                raise block
-            yield block
-            free.put(block[2])
-
-    helper = threading.Thread(target=draw, name="dyadreg-v-draw", daemon=True)
-    helper.start()
-    try:
-        yield take()
-    finally:
-        stop.set()
-        free.put(None)  # wakes a helper waiting for an array
-        helper.join()
-
-
 def simulate_latents(spec: DgpSpec, n_units: int, seed: int):
     """Latent draws (x, u, v_pairs); v_pairs[p] = (V_ij, V_ji) for the p-th
     unordered pair (i < j) in lexicographic order: the V blocks that simulate
     adds into Y, concatenated."""
     x, u = _units(spec, n_units, seed)
-    return x, u, np.concatenate([vb for _, _, vb in _v_blocks(seed, n_units)])
+    return x, u, np.concatenate([vb.copy() for _, _, vb in _v_blocks(seed, n_units)])
 
 
 def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     """Draw a dyadic dataset; deterministic in (spec, n_units, seed).
 
-    V is drawn in row blocks, on a helper thread while this thread assembles
-    the rest once N >= _V_THREAD_MIN_UNITS. In gaussian-regression mode each
-    block is added straight into Y: Y_ij = ((g + U_i) + U_j) + V_ij, the same
-    additions in the same order as adding a V matrix, which is never built.
-    A graphon gets V filled from the same blocks."""
+    V is drawn in row blocks. In gaussian-regression mode each block is added
+    straight into Y: Y_ij = ((g + U_i) + U_j) + V_ij, the same additions in
+    the same order as adding a V matrix, which is never built. A graphon gets
+    V filled from the same blocks."""
     x, u = _units(spec, n_units, seed)
     x1 = x[:, None, :]
     x2 = x[None, :, :]
-    if n_units >= _V_THREAD_MIN_UNITS:
-        drawn = _v_drawn_ahead(seed, n_units)
+    blocks = _v_blocks(seed, n_units)
+    if spec.kind == "gaussian-regression":
+        # out= makes Y N x N even where g's result only broadcasts to it
+        y = np.add(spec.g(x1, x2), u[:, None], out=np.empty((n_units, n_units)))
+        y += u[None, :]
+        for r0, r1, vb in blocks:
+            up = _upper(n_units, r0, r1)
+            y[r0:r1][up] += vb[:, 0]
+            y.T[r0:r1][up] += vb[:, 1]
     else:
-        drawn = contextlib.nullcontext(_v_blocks(seed, n_units))
-    with drawn as blocks:
-        if spec.kind == "gaussian-regression":
-            # out= makes Y N x N even where g's result only broadcasts to it
-            y = np.add(spec.g(x1, x2), u[:, None], out=np.empty((n_units, n_units)))
-            y += u[None, :]
-            for r0, r1, vb in blocks:
-                up = _upper(n_units, r0, r1)
-                y[r0:r1][up] += vb[:, 0]
-                y.T[r0:r1][up] += vb[:, 1]
-        else:
-            v = np.zeros((n_units, n_units))
-            for r0, r1, vb in blocks:
-                up = _upper(n_units, r0, r1)
-                v[r0:r1][up] = vb[:, 0]
-                v.T[r0:r1][up] = vb[:, 1]
-            y = spec.graphon(x1, x2, u[:, None], u[None, :], v)
+        v = np.zeros((n_units, n_units))
+        for r0, r1, vb in blocks:
+            up = _upper(n_units, r0, r1)
+            v[r0:r1][up] = vb[:, 0]
+            v.T[r0:r1][up] = vb[:, 1]
+        y = spec.graphon(x1, x2, u[:, None], u[None, :], v)
     return DyadicDataset(x=x, y=y)
 
 
@@ -387,7 +320,7 @@ def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic):
         for rep in range(reps):
             # `data` keeps the previous dataset alive until the next is drawn. Freeing
             # it first lets malloc trim the heap and the next draw re-fault it: at
-            # N=800 on 2-core x86-64 Linux, 2x the page faults and 8% slower.
+            # N=800 on 2-core x86-64 Linux, over 100x the page faults and 8-20% slower.
             data = simulate(spec, n, replication_seed(seed, idx, rep))
             stats.append(statistic(data, h))
         yield n, stats
@@ -551,35 +484,23 @@ def save_dataset(data: DyadicDataset, pairs_path: str, meta: dict | None = None)
 
 
 def _data_rows(path: str, width: int):
-    """Rows after the header of a dataset CSV, refusing any without `width` fields."""
+    """(line, fields) for each row after the header of a dataset CSV,
+    refusing any without `width` fields."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         next(rows, None)
         for row in rows:
             if len(row) != width:
                 raise ValueError(f"{path}, line {rows.line_num}: {row!r} does not have {width} fields")
-            yield row
+            yield rows.line_num, row
 
 
-def _refusal(path: str, n_index: int, reason: str) -> ValueError:
-    """The error refusing a dataset CSV: it names the line and text of the first
-    field that is not an integer (among the first `n_index` of its row) or a
-    finite number (the rest), or else gives `reason`. It re-reads the file, so
-    a load that succeeds pays nothing for it."""
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        next(rows, None)
-        for row in rows:
-            for c, text in enumerate(row):
-                try:
-                    if c < n_index:
-                        int(text)
-                    elif not math.isfinite(float(text)):
-                        return ValueError(f"{path}, line {rows.line_num}: {text!r} is not a finite number")
-                except ValueError:
-                    kind = "an integer" if c < n_index else "a number"
-                    return ValueError(f"{path}, line {rows.line_num}: {text!r} is not {kind}")
-    return ValueError(f"{path}: {reason}")
+def _finite(text: str) -> float:
+    """float(text), refusing nan and inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def read_manifest(pairs_path: str) -> dict:
@@ -604,26 +525,26 @@ def load_dataset(pairs_path: str):
     n, d = manifest["n_units"], manifest["d_x"]
     x = np.full((n, d), np.nan)  # NaN marks a cell that no row has filled
     n_rows = 0
-    for n_rows, row in enumerate(_data_rows(units_file, 1 + d), 1):
+    for n_rows, (line, row) in enumerate(_data_rows(units_file, 1 + d), 1):
         try:
-            i, values = int(row[0]), [float(v) for v in row[1:]]
+            i, values = int(row[0]), [_finite(v) for v in row[1:]]
         except ValueError as exc:
-            raise _refusal(units_file, 1, str(exc)) from None
+            raise ValueError(f"{units_file}, line {line}: {exc}") from None
         if not 0 <= i < n:
             raise ValueError(f"{units_file}: unit {i} outside 0..{n - 1}")
         x[i] = values
-    if n_rows != n or not np.isfinite(x).all():
-        raise _refusal(units_file, 1, f"expected one row for each of the {n} units")
+    if n_rows != n or np.isnan(x).any():
+        raise ValueError(f"{units_file}: expected one row for each of the {n} units")
     y = np.full((n, n), np.nan)
     n_rows = 0
-    for n_rows, (i, j, value) in enumerate(_data_rows(pairs_file, 3), 1):
+    for n_rows, (line, (i, j, value)) in enumerate(_data_rows(pairs_file, 3), 1):
         try:
-            i, j, value = int(i), int(j), float(value)
+            i, j, value = int(i), int(j), _finite(value)
         except ValueError as exc:
-            raise _refusal(pairs_file, 2, str(exc)) from None
+            raise ValueError(f"{pairs_file}, line {line}: {exc}") from None
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise ValueError(f"{pairs_file}: pair ({i}, {j}) is diagonal or outside 0..{n - 1}")
         y[i, j] = value
-    if n_rows != n * (n - 1) or np.count_nonzero(np.isnan(y)) != n or np.isinf(y).any():
-        raise _refusal(pairs_file, 2, f"expected one row for each of the {n * (n - 1)} ordered pairs")
+    if n_rows != n * (n - 1) or np.count_nonzero(np.isnan(y)) != n:
+        raise ValueError(f"{pairs_file}: expected one row for each of the {n * (n - 1)} ordered pairs")
     return DyadicDataset(x=x, y=y), manifest
