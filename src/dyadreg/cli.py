@@ -23,7 +23,7 @@ from .decomposition import variance_dominance
 from .dgp import (DGP_KINDS, _sibling_paths, _stream, atomic_open, axes_grid, load_dataset,
                   make_dgp, read_manifest, save_dataset, simulate)
 from .errors import AssumptionViolation, ConfigError
-from .estimator import BandwidthRule, bandwidth, nw_estimate
+from .estimator import BandwidthRule, bandwidth, kernel_scale, nw_estimate
 from .kernels import make_kernel
 from .minimax import (fano_kl_average, holder_membership_check, hypothesis_g,
                       kl_two_point, make_fano, make_two_point, separation_check,
@@ -57,6 +57,16 @@ def _parse_bandwidth(text: str, beta: float, d_x: int) -> BandwidthRule:
         return BandwidthRule(mode=parts[0], c0=float(parts[1]), beta=beta, d_x=d_x)
     except ValueError as exc:
         raise ConfigError(f"bandwidth {text!r}: {exc}") from None
+
+
+def _bandwidth(rule: BandwidthRule, n_units: int, dim: int) -> float:
+    """h_N under the rule, refused where N < 3 or h^-dim overflows a float."""
+    try:
+        h = bandwidth(rule, n_units)
+        kernel_scale(h, dim)
+    except ValueError as exc:
+        raise ConfigError(f"--bandwidth at N={n_units}: {exc}") from None
+    return h
 
 
 def _parse_list(text: str, key: str, cast) -> tuple:
@@ -138,8 +148,8 @@ def _cmd_estimate(args) -> list[str]:
     kernel = _kernel(args.kernel, 2 * d_x, "--kernel")
     rule = _parse_bandwidth(args.bandwidth, args.beta, d_x)
     grid = _parse_grid(args.grid, 2 * d_x)
+    h = _bandwidth(rule, manifest["n_units"], kernel.dim)
     try:
-        h = bandwidth(rule, manifest["n_units"])
         data, _manifest = load_dataset(args.data)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--data: {exc}") from None
@@ -156,7 +166,7 @@ def _cmd_estimate(args) -> list[str]:
 # --- rates -------------------------------------------------------------------
 
 _RATES_KEYS = {
-    "dgp.kind", "dgp.g", "dgp.d_x", "dgp.law", "dgp.beta", "dgp.l",
+    "dgp.kind", "dgp.g", "dgp.d_x", "dgp.law", "dgp.beta",
     "kernel", "bandwidth.mode", "bandwidth.c0",
     "mode", "w0", "grid.lo", "grid.hi", "grid.steps",
     "n_list", "reps", "seed", "metric", "out.prefix",
@@ -202,10 +212,9 @@ def _cmd_rates(args) -> list[str]:
 
     d_x = value("dgp.d_x", int, "1")
     beta = value("dgp.beta", float, "2.0")
-    l_const = value("dgp.l", float, "5.0")
     try:
         spec = make_dgp(cfg.get("dgp.kind", "theorem1"), g_name=cfg.get("dgp.g", "sin_additive"),
-                        d_x=d_x, law=cfg.get("dgp.law", "uniform"), beta=beta, l_const=l_const)
+                        d_x=d_x, law=cfg.get("dgp.law", "uniform"), beta=beta)
     except ValueError as exc:
         raise ConfigError(f"dgp.*: {exc}") from None
     mode = cfg.get("mode", "pointwise")
@@ -309,6 +318,8 @@ def _cmd_diagnose(args) -> list[str]:
         raise ConfigError(f"need --reps >= 50 and every --n >= 3, got --reps {args.reps} --n {args.n}")
     kernel = _kernel(args.kernel, 2 * args.d_x, "--kernel")
     rule = _parse_bandwidth(args.bandwidth, args.beta, args.d_x)
+    for n in n_list:
+        _bandwidth(rule, n, kernel.dim)
     w = np.asarray(_parse_list(args.w, "--w", float))
     if w.shape != (2 * args.d_x,):
         raise ConfigError(f"--w must have {2 * args.d_x} coordinates")
@@ -389,6 +400,8 @@ def main(argv=None) -> int:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "manifest")}
     try:
         _check_out_path(getattr(args, "out", None), "--out")  # rates names its outputs in its config
+        if getattr(args, "seed", 0) < 0:  # the rates seed is checked with its config
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         outputs = args.func(args)
         if args.manifest:
             _write_run_manifest(args.subcommand, config, outputs)

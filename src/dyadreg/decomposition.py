@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import DgpSpec, DyadicDataset, replicate
-from .estimator import BandwidthRule, _weights
+from .estimator import BandwidthRule, _weights, kernel_scale
 
 __all__ = ["HoeffdingParts", "DominanceRow", "hoeffding_decompose", "variance_dominance"]
 
@@ -40,7 +40,7 @@ def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) ->
         raise ValueError("tau must be positive")
     n = data.n_units
     a, b = (m[:, 0] for m in _weights(data, kernel, h, [w]))
-    k_mat = h ** (-kernel.dim) * np.outer(a, b)
+    k_mat = kernel_scale(h, kernel.dim) * np.outer(a, b)
     m = data.y * (np.abs(data.y) < tau) * k_mat
     z = 0.5 * (m + m.T)           # symmetric; Z_ij for unordered pairs, zero diagonal
     n_pairs = n * (n - 1) // 2

@@ -28,6 +28,7 @@ __all__ = [
     "TruncationBounds",
     "NwResult",
     "bandwidth",
+    "kernel_scale",
     "a_n",
     "a_n_star",
     "psi_hat",
@@ -75,6 +76,14 @@ def bandwidth(rule: BandwidthRule, n_units: int) -> float:
     return rule.c0 * n ** (-expo)
 
 
+def kernel_scale(h: float, dim: int) -> float:
+    """h^-dim, the factor of K_h(u) = h^-dim K(u / h); ValueError on overflow."""
+    try:
+        return h ** (-dim)
+    except OverflowError:
+        raise ValueError(f"bandwidth {h!r} is too small: h^-{dim} overflows") from None
+
+
 def a_n(n_units: int, h: float, d_x: int) -> float:
     """Uniform deviation scale (ln N / (N h^d_x))^(1/2)."""
     if n_units < 3 or h <= 0:
@@ -120,7 +129,7 @@ def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
     (zero diagonal) as a^T y b, f the all-ones matrix off the diagonal."""
     a, b = _weights(data, kernel, h, grid)
     n = a.shape[0]
-    scale = h ** (-kernel.dim) / (n * (n - 1))
+    scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
     psi = np.einsum("ng,ng->g", a, y @ b) * scale
     f = (a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)) * scale
     return psi, f
@@ -161,7 +170,7 @@ def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwRe
     density estimate falls below the denominator cutoff, never a crash."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     num, den = _pair_sums(data, kernel, h, grid, data.y)
-    eps_denom = 1e-12 * kernel.k_max * h ** (-kernel.dim)
+    eps_denom = 1e-12 * kernel.k_max * kernel_scale(h, kernel.dim)
     defined = den > eps_denom
     g_hat = np.full(den.shape, np.nan)
     np.divide(num, den, out=g_hat, where=defined)

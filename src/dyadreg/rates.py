@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import DgpSpec, axes_grid, replicate, true_g_on_grid
-from .estimator import BandwidthRule, nw_estimate
+from .estimator import BandwidthRule, bandwidth, kernel_scale, nw_estimate
 from .kernels import KERNEL_IDS, make_kernel
 
 __all__ = [
@@ -69,11 +69,15 @@ class RateExperiment:
             raise ValueError(f"n_list entries must be >= 3, got {self.n_list[0]}")
         if self.reps < 50:
             raise ValueError("reps must be >= 50")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for n in self.n_list:
+            kernel_scale(bandwidth(self.rule, n), 2 * self.dgp.d_x)
         if self.mode == "pointwise" and (self.w0 is None or len(self.w0) != 2 * self.dgp.d_x):
             raise ValueError(f"pointwise mode requires a w0 of {2 * self.dgp.d_x} coordinates")
         if self.mode == "sup-norm" and self.grid_steps < 1:
             raise ValueError(f"grid.steps must be >= 1, got {self.grid_steps}")
-        if self.dgp.kind == "graphon" and self.dgp.cond_mean is None:
+        if self.dgp.g is None:
             raise ValueError(f"dgp {self.dgp.name!r} has no closed-form conditional mean "
                              "to measure the error against")
         if self.metric not in ("median", "mean", "rmse"):
@@ -185,15 +189,15 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
             median_err=float(np.median(errs)),
             mean_err=float(np.mean(errs)),
             rmse=float(np.sqrt(np.mean(errs**2))),
-            sd=float(np.std(errs, ddof=1)),
+            sd=float(np.std(errs, ddof=1)) if errs.size > 1 else math.nan,
             n_undefined=undefined,
             n_excluded_reps=excluded,
         ))
 
     metric_errs = [_metric_err(r, exp.metric) for r in rows]
     degenerate = any(not math.isfinite(me) or me < _DEGENERATE_ERR for me in metric_errs)
-    theory = -exp.dgp.holder.beta / (2.0 * exp.dgp.holder.beta + d_x)
-    foil_dw = -exp.dgp.holder.beta / (2.0 * exp.dgp.holder.beta + 2.0 * d_x)
+    theory = -exp.dgp.beta / (2.0 * exp.dgp.beta + d_x)
+    foil_dw = -exp.dgp.beta / (2.0 * exp.dgp.beta + 2.0 * d_x)
     if degenerate:
         return RateFit(rows=tuple(rows), slope=math.nan, slope_se=math.nan, r2=math.nan,
                        theory_exponent=theory, foil_vs_n=math.nan, foil_vs_dw=foil_dw,

@@ -88,7 +88,7 @@ def naive_simulate(spec, n_units, seed):
     v[ju, iu] = v_pairs[:, 1]
     x1 = x[:, None, :]
     x2 = x[None, :, :]
-    if spec.kind == "gaussian-regression":
+    if spec.graphon is None:
         y = spec.g(x1, x2) + u[:, None] + u[None, :]
         y += v
     else:

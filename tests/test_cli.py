@@ -80,6 +80,9 @@ _BAD_RATES_CONFIGS = {
     "w0": _RATES_BASE + "w0 = 0.5\n",
     "steps": _RATES_BASE + "mode = sup-norm\ngrid.steps = 0\n",
     "no-dir": _RATES_BASE + "w0 = 0.5,0.5\nout.prefix = {d}/nodir/r\n",
+    "seed": _RATES_BASE + "w0 = 0.5,0.5\nseed = -3\n",
+    "c0-overflow": _RATES_BASE + "w0 = 0.5,0.5\nbandwidth.c0 = 1e-300\n",
+    "dgp-l": _RATES_BASE + "w0 = 0.5,0.5\ndgp.l = 5.0\n",
 }
 _EST = ["estimate", "--data", "{d}/d.csv", "--out", "{d}/o.csv"]
 # dataset name -> (file suffix, line, field, text): a copy of d.csv with one cell replaced
@@ -129,6 +132,14 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
     ["simulate", "--n", "20", "--seed", "1", "--out", "{d}"],
     *[["estimate", "--data", f"{{d}}/{name}.csv", "--grid", "0.2:0.8:3", "--out", "{d}/o.csv"]
       for name in _BAD_CELLS],
+    ["simulate", "--n", "20", "--seed", "-1", "--out", "{d}/o.csv"],
+    _DIAG + ["--seed", "-2", "--w", "0.5,0.5"],
+    _MINIMAX + ["--seed", "-5"],
+    ["rates", "--config", "{d}/seed.cfg"],
+    _EST + ["--bandwidth", "fixed:1e-160", "--grid", "0.2:0.8:9"],
+    _DIAG + ["--bandwidth", "fixed:1e-300", "--w", "0.5,0.5"],
+    ["rates", "--config", "{d}/c0-overflow.cfg"],
+    ["rates", "--config", "{d}/dgp-l.cfg"],
 ], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
         "estimate-missing-file", "rates-d_x-1.5", "rates-n_list-2", "minimax-n-1", "minimax-reps-1",
         "simulate-d-x-0", "diagnose-d-x-0",
@@ -139,7 +150,10 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
         "rates-grid-steps-0", "simulate-out-no-dir", "estimate-out-no-dir", "minimax-out-no-dir",
         "diagnose-out-no-dir", "rates-prefix-no-dir", "rates-config-directory",
         "rates-config-not-utf8", "simulate-out-is-directory",
-        *[f"estimate-{name}" for name in _BAD_CELLS]])
+        *[f"estimate-{name}" for name in _BAD_CELLS],
+        "simulate-seed-negative", "diagnose-seed-negative", "minimax-seed-negative",
+        "rates-seed-negative", "estimate-bandwidth-overflow", "diagnose-bandwidth-overflow",
+        "rates-c0-overflow", "rates-dgp-l"])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0

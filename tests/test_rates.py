@@ -155,3 +155,19 @@ def test_sup_mode_runs_and_counts_undefined():
     # tiny boxcar windows leave many grid points empty -> flagged invalid
     assert not fit.valid
     assert sum(r.n_undefined for r in fit.rows) > 0
+
+
+def test_sd_is_nan_where_fewer_than_two_replications_are_defined():
+    # boxcar windows of width 0.01 leave N=10 with no defined replication and
+    # N=40 with one; their sd is NaN, without a numpy warning
+    exp = RateExperiment(
+        dgp=make_dgp("theorem1", "sin_additive"), kernel_id="boxcar",
+        rule=BandwidthRule("fixed", 0.01), mode="pointwise",
+        n_list=(10, 20, 30, 40), reps=50, seed=0, w0=(0.5, 0.5))
+    fit = run_rate_experiment(exp)
+    defined = [exp.reps - r.n_excluded_reps for r in fit.rows]
+    assert defined[0] == 0 and defined[3] == 1
+    for row, n_defined in zip(fit.rows, defined):
+        assert math.isnan(row.sd) == (n_defined < 2)
+    assert rate_rows_csv(fit).splitlines()[4].split(",")[4] == "nan"
+    assert json.loads(rate_fit_json(fit))["rows"][3]["sd"] is None
