@@ -9,7 +9,16 @@ variance-component estimates:
     var1_hat ~ Var(T_1) = (4/N) Var(E[Z|unit i]),   via centered row means
                (with the row-mean noise bias removed),
     var2_hat ~ Var(T_2) = Var(residual)/C(N,2),     via the doubly centered
-               residual matrix.
+               residuals Z_ij - R_i - R_j + statistic.
+
+Neither Z nor the residuals are formed. With K_h(W_ij - w) = s a_i b_j
+(s = h^-dim, a and b the per-unit kernel weights) and Yt the outcomes masked
+by |Y| < tau, the row sums of Z are (s/2)(a∘(Yt b) + b∘(Yt^T a)): two
+matvecs. The sum of Z_ij^2 over i != j is
+(s^2/2)[(a∘a)^T (Yt∘Yt)(b∘b) + (a∘b)^T (Yt∘Yt^T)(a∘b)], and the residual sum
+of squares follows from it and the row means in closed form. Both matvecs and
+both quadratic forms come from one pass over Y in blocks of rows, so no
+temporary is larger than _BLOCK x N.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from .dgp import DgpSpec, DyadicDataset, replicate
 from .estimator import BandwidthRule, _weights, kernel_scale
 
 __all__ = ["HoeffdingParts", "DominanceRow", "hoeffding_decompose", "variance_dominance"]
+
+_BLOCK = 64   # rows of Y per step of the pass; no temporary is larger than _BLOCK x N
 
 
 @dataclass(frozen=True)
@@ -40,16 +51,31 @@ def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) ->
         raise ValueError("tau must be positive")
     n = data.n_units
     a, b = (m[:, 0] for m in _weights(data, kernel, h, [w]))
-    k_mat = kernel_scale(h, kernel.dim) * np.outer(a, b)
-    m = data.y * (np.abs(data.y) < tau) * k_mat
-    z = 0.5 * (m + m.T)           # symmetric; Z_ij for unordered pairs, zero diagonal
-    n_pairs = n * (n - 1) // 2
-    statistic = float(np.sum(z) / 2.0 / n_pairs)
-    row_means = z.sum(axis=1) / (n - 1)
+    a2, b2, ab = a * a, b * b, a * b
+    y = data.y
+    yt_b, yt_a = np.empty(n), np.zeros(n)    # Yt b and Yt^T a
+    sq = cross = 0.0                          # (a∘a)^T (Yt∘Yt)(b∘b), (a∘b)^T (Yt∘Yt^T)(a∘b)
+    for r0 in range(0, n, _BLOCK):
+        rows = slice(r0, r0 + _BLOCK)
+        y_rows, y_cols = y[rows], y[:, rows].T
+        if math.isfinite(tau):
+            y_rows = y_rows * (np.abs(y_rows) < tau)
+            y_cols = y_cols * (np.abs(y_cols) < tau)
+        yt_b[rows] = y_rows @ b
+        yt_a += a[rows] @ y_rows
+        sq += a2[rows] @ (y_rows**2 @ b2)
+        cross += ab[rows] @ ((y_rows * y_cols) @ ab)
+    s = kernel_scale(h, kernel.dim)
+    row_means = 0.5 * s * (a * yt_b + b * yt_a) / (n - 1)
+    statistic = float(np.sum(row_means) / n)
     uc = row_means - statistic
-    resid = z - row_means[:, None] - row_means[None, :] + statistic
-    np.fill_diagonal(resid, 0.0)
-    resid_ms = float(np.sum(resid**2) / 2.0 / n_pairs)
+    # sum over i != j of (Z_ij - r_i - r_j)^2, expanded with r = row_means - statistic/2;
+    # rounding can take the difference below zero
+    r = row_means - 0.5 * statistic
+    z_sq = 0.5 * s * s * (sq + cross)
+    rss = z_sq - 4 * (n - 1) * (r @ row_means) + 2 * (n - 2) * (r @ r) + 2 * np.sum(r) ** 2
+    n_pairs = n * (n - 1) // 2
+    resid_ms = max(float(rss), 0.0) / 2.0 / n_pairs
     s2_uc = float(np.sum(uc**2) / (n - 1))
     var1 = 4.0 / n * max(s2_uc - resid_ms / (n - 1), 0.0)
     var2 = resid_ms / n_pairs

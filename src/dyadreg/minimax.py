@@ -32,7 +32,6 @@ __all__ = [
     "HolderReport",
     "build_selection",
     "omega",
-    "omega_inverse",
     "kl_quadratic_form",
     "woodbury_sides",
     "woodbury_gap",
@@ -114,23 +113,6 @@ def omega(sel: SelectionMatrices) -> np.ndarray:
         )
     t = sel.t_big
     return np.eye(t.shape[0]) + t @ t.T
-
-
-def omega_inverse(sel: SelectionMatrices) -> np.ndarray:
-    """(I + T T^T)^{-1} = I - T (I_N + T^T T)^{-1} T^T; only the N x N core
-    is inverted. Verified against identity before returning."""
-    if sel.n_units > _OMEGA_DENSE_LIMIT:
-        raise ValueError(
-            f"refusing to materialize the N(N-1) x N(N-1) inverse for N={sel.n_units}; "
-            "use kl_quadratic_form / woodbury_sides instead"
-        )
-    t = sel.t_big
-    core = np.linalg.solve(_core_matrix(sel.n_units), t.T)
-    inv = np.eye(t.shape[0]) - t @ core
-    gap = float(np.max(np.abs(omega(sel) @ inv - np.eye(t.shape[0]))))
-    if gap > 1e-8:
-        raise AssumptionViolation(f"omega inverse verification failed: max |Omega Omega^-1 - I| = {gap:.3e}")
-    return inv
 
 
 def kl_quadratic_form(k_vec: np.ndarray, n_units: int) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "FitResult",
     "fit_exponent",
     "run_rate_experiment",
-    "measure_delta_n",
     "product_grid",
     "rate_rows_csv",
     "rate_fit_json",
@@ -209,15 +208,6 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
                    theory_exponent=theory, foil_vs_n=foil_fit.slope, foil_vs_dw=foil_dw,
                    mode=exp.mode, metric=exp.metric, valid=valid, degenerate=False,
                    invalid_reason=reason)
-
-
-def measure_delta_n(data, kernel, h: float, grid) -> float:
-    """Measured stand-in for the density floor: min of f_hat over the grid."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    res = nw_estimate(data, kernel, h, grid)
-    return float(np.min(res.f_hat))
 
 
 # --- stable text renderings (byte-identical across runs) --------------------

@@ -6,7 +6,8 @@ naive_weights is the exception: it builds the factorized per-unit weights, but
 evaluates the kernel factor at every (unit, grid point) pair, and is the
 bitwise reference for estimator._weights. naive_simulate is the bitwise
 reference for dgp.simulate: one draw of every pair's V at once, scattered into
-an N x N matrix.
+an N x N matrix. omega_inverse is the dense small-N inverse of the minimax
+error covariance.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from dyadreg.dgp import _ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _stream, make_dgp
 from dyadreg.estimator import BandwidthRule
 from dyadreg.kernels import eval_kernel
+from dyadreg.minimax import omega
 from dyadreg.rates import RateExperiment, run_rate_experiment
 
 
@@ -38,6 +40,33 @@ def naive_pair_average(data, kernel, h, w, use_y=True, tau=None):
     return total / (n * (n - 1))
 
 
+def naive_hoeffding(data, kernel, h, tau, w):
+    """(statistic, unit_contributions, var1_hat, var2_hat) of the Hoeffding
+    split: Z_ij formed pair by pair, then the row means and the doubly centered
+    residuals Z_ij - R_i - R_j + statistic over unordered pairs."""
+    n = data.n_units
+    w = np.asarray(w, dtype=float)
+
+    def term(i, j):
+        y = data.y[i, j]
+        if not abs(y) < tau:
+            return 0.0
+        wij = np.concatenate([data.x[i], data.x[j]])
+        return y * eval_kernel(kernel, (wij - w) / h) * h ** (-kernel.dim)
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    z = np.zeros((n, n))
+    for i, j in pairs:
+        z[i, j] = z[j, i] = 0.5 * (term(i, j) + term(j, i))
+    statistic = sum(z[i, j] for i, j in pairs) / len(pairs)
+    row_means = np.array([sum(z[i, j] for j in range(n) if j != i) / (n - 1) for i in range(n)])
+    uc = row_means - statistic
+    resid_ms = sum((z[i, j] - row_means[i] - row_means[j] + statistic) ** 2
+                   for i, j in pairs) / len(pairs)
+    var1 = 4.0 / n * max(sum(uc**2) / (n - 1) - resid_ms / (n - 1), 0.0)
+    return statistic, uc, var1, resid_ms / len(pairs)
+
+
 def naive_weights(data, kernel, h, grid):
     """Per-unit weights A, B (N, G), one factor evaluation per unit, grid point
     and coordinate."""
@@ -49,6 +78,19 @@ def naive_weights(data, kernel, h, grid):
         a *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, c]) / h)
         b *= kernel.factor.fn((data.x[:, c, None] - grid[None, :, d + c]) / h)
     return a, b
+
+
+def omega_inverse(sel):
+    """Dense reference (I + T T^T)^{-1} = I - T (I_N + T^T T)^{-1} T^T, with
+    the N x N core (2N - 3) I + 2 J solved densely; small N only, since it
+    builds omega(sel) to verify the inverse."""
+    om = omega(sel)
+    t = sel.t_big
+    n = sel.n_units
+    core = (2 * n - 3) * np.eye(n) + 2.0 * np.ones((n, n))
+    inv = np.eye(t.shape[0]) - t @ np.linalg.solve(core, t.T)
+    assert np.max(np.abs(om @ inv - np.eye(t.shape[0]))) < 1e-8
+    return inv
 
 
 def naive_psi_hat(data, kernel, h, w):

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import naive_hoeffding
 
 from dyadreg.dgp import DyadicDataset, make_dgp, simulate
 from dyadreg.decomposition import hoeffding_decompose, variance_dominance
@@ -78,10 +81,46 @@ def test_pure_pair_noise_reverses_dominance():
     assert rows[0].var_t1 < rows[0].var_t2
 
 
+@pytest.mark.parametrize("kernel_id", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("tau", [math.inf, 1.5])
+@pytest.mark.parametrize("n", [3, 5, 9, 17])
+def test_split_matches_pair_loop_oracle(kernel_id, tau, n):
+    data = simulate(make_dgp("theorem1", "sin_additive"), n, 40 + n)
+    k = make_kernel(kernel_id, 2)
+    w = np.array([0.3, 0.7])     # a != b: the two orientations of a pair get different weights
+    parts = hoeffding_decompose(data, k, 0.5, tau, w)
+    statistic, uc, var1, var2 = naive_hoeffding(data, k, 0.5, tau, w)
+    assert parts.statistic == pytest.approx(statistic, rel=1e-12)
+    assert np.max(np.abs(parts.unit_contributions - uc)) <= 1e-12 * np.max(np.abs(uc))
+    assert parts.var1_hat == pytest.approx(var1, rel=1e-12)
+    assert parts.var2_hat == pytest.approx(var2, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [math.inf, 1.5])
+def test_split_allocates_less_than_one_n_by_n_array(tau):
+    n = 600
+    data = simulate(make_dgp("theorem1", "sin_additive"), n, 8)
+    k = make_kernel("epanechnikov", 2)
+    hoeffding_decompose(data, k, 0.3, tau, W0)
+    tracemalloc.start()
+    try:
+        hoeffding_decompose(data, k, 0.3, tau, W0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
 def test_constant_outcomes_flat_kernel_zero_variance_components():
     spec = make_dgp("noiseless", "constant")
     k = make_kernel("boxcar", 2)
     rule = BandwidthRule("fixed", 100.0)
+    # every Z_ij is equal, so the residual sum of squares cancels to rounding
+    # error on each dataset (below zero at N = 6 and 20) and must not come out negative
+    for n in (6, 12, 20):
+        for seed in range(4):
+            parts = hoeffding_decompose(simulate(spec, n, seed), k, 100.0, math.inf, W0)
+            assert 0.0 <= parts.var2_hat <= 1e-24
     rows = variance_dominance(spec, k, rule, [12], 50, W0, seed=6)
     assert rows[0].var_t1 == pytest.approx(0.0, abs=1e-24)
     assert rows[0].var_t2 == pytest.approx(0.0, abs=1e-24)

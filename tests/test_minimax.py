@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import omega_inverse
+
 from dyadreg.dgp import uniform_law
 from dyadreg.errors import AssumptionViolation, PackingDegenerate
 from dyadreg.kernels import DEFAULT_BUMP_AMPLITUDE, make_kernel
 from dyadreg.minimax import (build_selection, fano_kl_average, fit_bump_amplitude,
                              holder_floor, holder_membership_check, hypothesis_g,
                              kl_quadratic_form, kl_two_point, make_fano,
-                             make_two_point, omega, omega_inverse, separation_check,
+                             make_two_point, omega, separation_check,
                              woodbury_gap, woodbury_sides)
 
 

@@ -2,16 +2,12 @@ import json
 import math
 import warnings
 
-import numpy as np
 import pytest
 
-from conftest import naive_f_hat
-
-from dyadreg.dgp import make_dgp, simulate
+from dyadreg.dgp import make_dgp
 from dyadreg.estimator import BandwidthRule
-from dyadreg.kernels import make_kernel
-from dyadreg.rates import (RateExperiment, fit_exponent, measure_delta_n, product_grid,
-                           rate_fit_json, rate_rows_csv, run_rate_experiment)
+from dyadreg.rates import (RateExperiment, fit_exponent, rate_fit_json, rate_rows_csv,
+                           run_rate_experiment)
 
 # frozen output of a validated run (seed 314); guards against silent changes
 GOLDEN_EXPERIMENT = dict(
@@ -93,31 +89,6 @@ def test_experiment_validation():
     with pytest.raises(ValueError):
         RateExperiment(dgp=dgp, kernel_id="gaussian", rule=rule, mode="pointwise",
                        n_list=(10, 20, 40, 80), reps=50, seed=0)
-
-
-def test_measure_delta_n_uniform_interior():
-    data = simulate(make_dgp("theorem1", "zero"), 400, 100)
-    k = make_kernel("epanechnikov", 2)
-    grid = product_grid(0.3, 0.7, 5, 2)
-    val = measure_delta_n(data, k, 0.25, grid)
-    assert val == pytest.approx(1.0, abs=0.25)  # f_W = 1 on the unit square
-
-
-def test_measure_delta_n_outside_support():
-    data = simulate(make_dgp("theorem1", "zero"), 100, 100)
-    k = make_kernel("epanechnikov", 2)
-    grid = product_grid(3.0, 4.0, 3, 2)
-    assert measure_delta_n(data, k, 0.2, grid) == 0.0
-
-
-def test_measure_delta_n_matches_naive_min():
-    data = simulate(make_dgp("theorem1", "zero"), 10, 7)
-    k = make_kernel("gaussian", 2)
-    grid = product_grid(0.2, 0.8, 3, 2)
-    ref = min(naive_f_hat(data, k, 0.4, w) for w in grid)
-    assert measure_delta_n(data, k, 0.4, grid) == pytest.approx(ref, rel=1e-12)
-    with pytest.raises(ValueError):
-        measure_delta_n(data, k, 0.4, np.zeros((0, 2)))
 
 
 def test_rate_fit_serialization_deterministic():
