@@ -50,7 +50,7 @@ def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) ->
     if not tau > 0:
         raise ValueError("tau must be positive")
     n = data.n_units
-    a, b = (m[:, 0] for m in _weights(data, kernel, h, [w]))
+    a, b = (_weights(data, kernel, h, half)[:, 0] for half in (w[:data.d_x], w[data.d_x:]))
     a2, b2, ab = a * a, b * b, a * b
     y = data.y
     yt_b, yt_a = np.empty(n), np.zeros(n)    # Yt b and Yt^T a

@@ -9,6 +9,12 @@ with K_h(u) = h^-d_W K(u / h) and W_ij = (X_i, X_j). For product kernels the
 pair sums factor as a^T Y b with per-unit weight vectors a, b, which is what
 the implementation computes (the naive pair sweep lives in the test suite as
 an independent oracle).
+
+Over a grid of G points whose first halves w1 take G1 distinct values and last
+halves w2 take G2, the sums are read off the G1 x G2 matrix a^T (Y b) of the
+distinct halves when that costs fewer flops, N^2 G2 + N G1 G2 against N^2 G +
+N G for a column pair per point: a product grid contracts over sqrt(G)
+columns. One point and scattered lists keep a column pair per point.
 """
 
 from __future__ import annotations
@@ -100,39 +106,69 @@ def a_n_star(n_units: int, h: float, d_x: int, beta: float) -> float:
 # kernel pair averages
 
 
-def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-unit weights (N, G): A[i, g] = prod_c k((x_ic - w_gc)/h) over the
-    first d_x coordinates of grid point w_g, B[j, g] likewise over the last d_x.
-    k runs once per distinct value of a grid coordinate; np.take gathers it into
-    C-ordered columns, so nw_estimate sums as for weights built point by point."""
+def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, points) -> np.ndarray:
+    """Per-unit weights (N, M) at M points of R^d_x, one half of a grid point:
+    W[i, m] = prod_c k((x_ic - p_mc)/h). k runs once per distinct value of a
+    coordinate; np.take gathers it into C-ordered columns, so sums over them
+    match those over weights built point by point. Every pair sum builds its
+    weights here, so here the kernel dimension, bandwidth and shape are checked."""
     if kernel.dim != 2 * data.d_x:
         raise ValueError(f"kernel dim {kernel.dim} != 2 d_x = {2 * data.d_x}")
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.ndim != 2 or grid.shape[1] != kernel.dim:
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != data.d_x:
         raise ValueError(f"grid points must have length {kernel.dim}")
-    d = data.d_x
     def factor(c):
-        values, inverse = np.unique(grid[:, c], return_inverse=True)
-        return np.take(kernel.factor.fn((data.x[:, c % d, None] - values) / h), inverse, axis=1)
-    a, b = factor(0), factor(d)
-    for c in range(1, d):
-        a *= factor(c)
-        b *= factor(d + c)
-    return a, b
+        values, inverse = np.unique(points[:, c], return_inverse=True)
+        return np.take(kernel.factor.fn((data.x[:, c, None] - values) / h), inverse, axis=1)
+    weights = factor(0)
+    for c in range(1, data.d_x):
+        weights *= factor(c)
+    return weights
+
+
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, index): the distinct rows of points and, per row of points, the
+    position of its row in rows. Rows are told apart by combining per-column
+    codes, recompressed after each column so the codes stay below len(points).
+    Trailing dimensions are kept, so _weights rejects a malformed shape."""
+    if len(points) < 2:  # one-point calls are the hot path of pointwise studies
+        return points, np.zeros(len(points), dtype=np.intp)
+    code = np.zeros(len(points), dtype=np.intp)
+    for col in points.reshape(len(points), math.prod(points.shape[1:])).T:
+        values, inverse = np.unique(col, return_inverse=True)
+        code = np.unique(code * len(values) + inverse, return_inverse=True)[1]
+    rows = np.empty((code.max(initial=-1) + 1,) + points.shape[1:])
+    rows[code] = points
+    return rows, code
 
 
 def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
                y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair averages (psi, f) over the grid: psi contracts the outcome matrix y
-    (zero diagonal) as a^T y b, f the all-ones matrix off the diagonal."""
-    a, b = _weights(data, kernel, h, grid)
-    n = a.shape[0]
+    (zero diagonal) as a^T y b, f the all-ones matrix off the diagonal.
+
+    With G grid points whose halves take G1 and G2 distinct values, the whole
+    G1 x G2 matrix over the distinct halves costs N^2 G2 + N G1 G2 flops, the
+    G entries one by one N^2 G + N G. The cheaper is taken: a product grid
+    forms the matrix and gathers from it; one point or a scattered list gives
+    each point its own columns of a and b, and its sums are bit for bit those
+    of weights built point by point."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    d, n = data.d_x, data.n_units
+    u, p = _distinct_rows(grid[:, :d])
+    v, q = _distinct_rows(grid[:, d:])
+    if len(v) * (n + len(u)) < len(grid) * (n + 1):
+        a, b = _weights(data, kernel, h, u), _weights(data, kernel, h, v)
+        psi = (a.T @ (y @ b))[p, q]
+        f = (np.outer(a.sum(axis=0), b.sum(axis=0)) - a.T @ b)[p, q]
+    else:
+        a, b = _weights(data, kernel, h, grid[:, :d]), _weights(data, kernel, h, grid[:, d:])
+        psi = np.einsum("ng,ng->g", a, y @ b)
+        f = a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
-    psi = np.einsum("ng,ng->g", a, y @ b) * scale
-    f = (a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)) * scale
-    return psi, f
+    return psi * scale, f * scale
 
 
 def psi_hat(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:

@@ -11,7 +11,7 @@ from dyadreg.decomposition import hoeffding_decompose
 from dyadreg.dgp import DyadicDataset, make_dgp, replication_seed, simulate
 from dyadreg.errors import TruncationInfeasible
 from dyadreg.estimator import (BandwidthRule, TruncationRule, a_n, a_n_star, bandwidth,
-                               _weights, f_hat_w, nw_estimate, psi_hat, truncated_psi,
+                               _weights, f_hat_w, kernel_scale, nw_estimate, psi_hat, truncated_psi,
                                truncation_bounds, truncation_threshold)
 from dyadreg.kernels import KERNEL_IDS, make_kernel
 from dyadreg.rates import product_grid
@@ -351,23 +351,95 @@ def _grids(d_x, rng):
     }
 
 
+def _point_by_point_estimate(data, kernel, h, grid):
+    """(g_hat, f_hat, defined) contracted with one column of naive weights per
+    grid point: the arithmetic of the per-point path of nw_estimate."""
+    a, b = naive_weights(data, kernel, h, grid)
+    n = data.n_units
+    scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
+    psi = np.einsum("ng,ng->g", a, data.y @ b) * scale
+    f = (a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)) * scale
+    defined = f > 1e-12 * kernel.k_max * kernel_scale(h, kernel.dim)
+    return np.where(defined, psi / np.where(defined, f, 1.0), np.nan), f, defined
+
+
 @pytest.mark.parametrize("d_x", [1, 2])
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
-def test_weights_equal_point_by_point_weights_bitwise(kernel_id, d_x, rng, monkeypatch):
+def test_weights_equal_point_by_point_weights_bitwise(kernel_id, d_x, rng):
     kernel = make_kernel(kernel_id, 2 * d_x)
     data = simulate(make_dgp("theorem1", "sin_additive", d_x=d_x), 60, 17)
     h = 0.35
     for name, grid in _grids(d_x, rng).items():
-        a, b = _weights(data, kernel, h, grid)
         a_ref, b_ref = naive_weights(data, kernel, h, grid)
-        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref), name
-        assert all(m.flags.c_contiguous for m in (a, b, a_ref, b_ref)), name
+        for half, ref in ((grid[:, :d_x], a_ref), (grid[:, d_x:], b_ref)):
+            weights = _weights(data, kernel, h, half)
+            assert np.array_equal(weights, ref) and weights.flags.c_contiguous, name
         res = nw_estimate(data, kernel, h, grid)
-        with monkeypatch.context() as m:
-            m.setattr("dyadreg.estimator._weights", naive_weights)
-            ref = nw_estimate(data, kernel, h, grid)
-        for field in ("g_hat", "f_hat", "defined"):
-            assert getattr(res, field).tobytes() == getattr(ref, field).tobytes(), (name, field)
+        g_ref, f_ref, defined_ref = _point_by_point_estimate(data, kernel, h, grid)
+        assert np.array_equal(res.defined, defined_ref), name
+        if name in ("scattered", "one-point"):
+            # one column pair per point: the same sums as point-by-point weights
+            assert res.g_hat.tobytes() == g_ref.tobytes(), name
+            assert res.f_hat.tobytes() == f_ref.tobytes(), name
+        else:
+            # distinct halves: a G1 x G2 product, summed in another order
+            np.testing.assert_allclose(res.g_hat, g_ref, rtol=1e-12, err_msg=name)
+            np.testing.assert_allclose(res.f_hat, f_ref, rtol=1e-12, err_msg=name)
+            idx = int(rng.integers(len(grid)))
+            g_naive, f_naive = naive_nw(data, kernel, h, grid[idx])
+            assert res.f_hat[idx] == pytest.approx(f_naive, rel=1e-12), name
+            assert res.g_hat[idx] == pytest.approx(g_naive, rel=1e-12, nan_ok=True), name
+
+
+def _product_grids(rng):
+    d1 = product_grid(0.1, 0.9, 9, 2)
+    return {
+        "shuffled": (1, d1[rng.permutation(len(d1))]),
+        "five-removed": (1, np.delete(d1, rng.choice(len(d1), 5, replace=False), axis=0)),
+        "d_x=3": (3, product_grid(0.2, 0.8, 3, 6)),
+    }
+
+
+@pytest.mark.parametrize("name", ["shuffled", "five-removed", "d_x=3"])
+def test_distinct_half_contraction_matches_pair_loop_oracle(name, rng):
+    d_x, grid = _product_grids(rng)[name]
+    n = 7 if d_x == 1 else 5
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=d_x), n, 29)
+    k = make_kernel("gaussian", 2 * d_x)
+    res = nw_estimate(data, k, 0.5, grid)
+    assert np.array_equal(res.grid, grid)
+    for idx, w in enumerate(grid):
+        g_ref, f_ref = naive_nw(data, k, 0.5, w)
+        assert res.f_hat[idx] == pytest.approx(f_ref, rel=1e-12), idx
+        assert res.defined[idx]
+        assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12), idx
+
+
+def test_scattered_grid_allocates_less_than_one_grid_by_grid_array(rng):
+    data = simulate(make_dgp("theorem1", "sin_additive"), 30, 8)
+    k = make_kernel("epanechnikov", 2)
+    grid = rng.uniform(0.0, 1.0, (1500, 2))
+    nw_estimate(data, k, 0.4, grid)
+    tracemalloc.start()
+    try:
+        nw_estimate(data, k, 0.4, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(grid) ** 2 * 8
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.3])
+def test_bandwidth_must_be_finite_and_positive(h):
+    data = simulate(make_dgp("theorem1", "sin_additive"), 12, 2)
+    k = make_kernel("gaussian", 2)
+    w = [0.4, 0.6]
+    with pytest.raises(ValueError, match="bandwidth"):
+        nw_estimate(data, k, h, product_grid(0.2, 0.8, 4, 2))
+    with pytest.raises(ValueError, match="bandwidth"):
+        psi_hat(data, k, h, w)
+    with pytest.raises(ValueError, match="bandwidth"):
+        hoeffding_decompose(data, k, h, math.inf, w)
 
 
 def test_product_grid_with_repeated_halves_matches_oracle():
