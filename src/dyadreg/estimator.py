@@ -92,8 +92,8 @@ def kernel_scale(h: float, dim: int) -> float:
 
 def a_n(n_units: int, h: float, d_x: int) -> float:
     """Uniform deviation scale (ln N / (N h^d_x))^(1/2)."""
-    if n_units < 3 or h <= 0:
-        raise ValueError("need n_units >= 3 and h > 0")
+    if n_units < 3 or not (math.isfinite(h) and h > 0):
+        raise ValueError(f"need n_units >= 3 and a finite bandwidth h > 0, got {n_units} and {h}")
     return math.sqrt(math.log(n_units) / (n_units * h**d_x))
 
 

@@ -7,13 +7,22 @@ evaluates the kernel factor at every (unit, grid point) pair, and is the
 bitwise reference for estimator._weights. naive_simulate is the bitwise
 reference for dgp.simulate: one draw of every pair's V at once, scattered into
 an N x N matrix. omega_inverse is the dense small-N inverse of the minimax
-error covariance.
+error covariance. naive_save_dataset and naive_load_dataset are the row-wise
+dataset writer and loader, one csv.writer or csv.reader row per pair: the
+reference for the bytes dgp.save_dataset writes and for the result or error of
+dgp.load_dataset.
 """
+
+import csv
+import json
+import math
+import os
 
 import numpy as np
 import pytest
 
-from dyadreg.dgp import _ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _stream, make_dgp
+from dyadreg.dgp import (_ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _sibling_paths, _stream, make_dgp,
+                         read_manifest)
 from dyadreg.estimator import BandwidthRule
 from dyadreg.kernels import eval_kernel
 from dyadreg.minimax import omega
@@ -136,6 +145,79 @@ def naive_simulate(spec, n_units, seed):
     else:
         y = spec.graphon(x1, x2, u[:, None], u[None, :], v)
     return DyadicDataset(x=x, y=y)
+
+
+def naive_save_dataset(data, pairs_path, meta=None):
+    """The three dataset files, every row through csv.writer."""
+    pairs_file, units_file, manifest_file = _sibling_paths(pairs_path)
+    n, d = data.n_units, data.d_x
+    with open(pairs_file, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["i", "j", "y"])
+        for i in range(n):
+            wr.writerows([i, j, v] for j, v in enumerate(data.y[i].tolist()) if j != i)
+    with open(units_file, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["i"] + [f"x_{c + 1}" for c in range(d)])
+        for i in range(n):
+            wr.writerow([i] + [repr(float(v)) for v in data.x[i]])
+    manifest = {"format": "dyadreg-dataset-v1", "n_units": n, "d_x": d,
+                "pairs_file": os.path.basename(pairs_file),
+                "units_file": os.path.basename(units_file), "meta": meta or {}}
+    with open(manifest_file, "w", newline="") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return manifest
+
+
+def _naive_rows(path, width):
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows, None)
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"{path}, line {rows.line_num}: {row!r} does not have {width} fields")
+            yield rows.line_num, row
+
+
+def _naive_finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def naive_load_dataset(pairs_path):
+    """(DyadicDataset, manifest): each row of the units and pairs files read
+    through csv.reader and checked where it is read."""
+    pairs_file, units_file, _ = _sibling_paths(pairs_path)
+    manifest = read_manifest(pairs_path)
+    n, d = manifest["n_units"], manifest["d_x"]
+    x = np.full((n, d), np.nan)
+    n_rows = 0
+    for n_rows, (line, row) in enumerate(_naive_rows(units_file, 1 + d), 1):
+        try:
+            i, values = int(row[0]), [_naive_finite(v) for v in row[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{units_file}, line {line}: {exc}") from None
+        if not 0 <= i < n:
+            raise ValueError(f"{units_file}: unit {i} outside 0..{n - 1}")
+        x[i] = values
+    if n_rows != n or np.isnan(x).any():
+        raise ValueError(f"{units_file}: expected one row for each of the {n} units")
+    y = np.full((n, n), np.nan)
+    n_rows = 0
+    for n_rows, (line, (i, j, value)) in enumerate(_naive_rows(pairs_file, 3), 1):
+        try:
+            i, j, value = int(i), int(j), _naive_finite(value)
+        except ValueError as exc:
+            raise ValueError(f"{pairs_file}, line {line}: {exc}") from None
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ValueError(f"{pairs_file}: pair ({i}, {j}) is diagonal or outside 0..{n - 1}")
+        y[i, j] = value
+    if n_rows != n * (n - 1) or np.count_nonzero(np.isnan(y)) != n:
+        raise ValueError(f"{pairs_file}: expected one row for each of the {n * (n - 1)} ordered pairs")
+    return DyadicDataset(x=x, y=y), manifest
 
 
 def replace_cell(path, line, field, text):

@@ -440,6 +440,12 @@ def test_bandwidth_must_be_finite_and_positive(h):
         psi_hat(data, k, h, w)
     with pytest.raises(ValueError, match="bandwidth"):
         hoeffding_decompose(data, k, h, math.inf, w)
+    with pytest.raises(ValueError, match="bandwidth"):
+        a_n(100, h, 1)
+    with pytest.raises(ValueError, match="bandwidth"):
+        truncation_bounds(4.0, 100, h, 1)
+    with pytest.raises(ValueError, match="bandwidth"):
+        truncation_threshold(TruncationRule(4.0), 100, h, 1)
 
 
 def test_product_grid_with_repeated_halves_matches_oracle():
