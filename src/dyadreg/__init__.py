@@ -4,4 +4,4 @@ __version__ = "0.1.0"
 
 from . import dgp, decomposition, estimator, kernels, minimax, rates  # noqa: F401
 from .errors import (AssumptionViolation, ConfigError, DyadregError,  # noqa: F401
-                     PackingDegenerate, QuadratureFailure, TruncationInfeasible)
+                     PackingDegenerate, QuadratureFailure)

@@ -1,7 +1,7 @@
 """Command-line interface: simulate / estimate / rates / minimax / diagnose.
 
 Exit codes: 0 success, 2 configuration error (message names the offending
-key), 3 assumption-violation refusal (e.g. truncation infeasibility, KL
+key), 3 assumption-violation refusal (e.g. a degenerate Fano packing, KL
 precondition). Refusals never leave partial output files: everything is
 computed first and written atomically afterwards.
 """
@@ -242,9 +242,10 @@ def _cmd_rates(args) -> list[str]:
     _check_out_path(prefix, "out.prefix")
     fit = run_rate_experiment(exp)
     outputs = [prefix + ".csv", prefix + ".fit.json", prefix + ".plot.dat"]
-    for path, render in zip(outputs, (rate_rows_csv, rate_fit_json, plot_data)):
+    texts = [render(fit) for render in (rate_rows_csv, rate_fit_json, plot_data)]
+    for path, text in zip(outputs, texts):
         with atomic_open(path) as fh:
-            fh.write(render(fit))
+            fh.write(text)
     return outputs
 
 

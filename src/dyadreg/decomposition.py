@@ -92,14 +92,14 @@ class DominanceRow:
 
 
 def variance_dominance(spec: DgpSpec, kernel, rule: BandwidthRule, n_list, reps: int,
-                       w, seed: int, tau: float = math.inf) -> list[DominanceRow]:
+                       w, seed: int) -> list[DominanceRow]:
     """Monte Carlo table of projection vs degenerate variance per N; the
     ratio var_t2/var_t1 should fall with N when unit effects are present."""
     if reps < 50:
         raise ValueError("reps must be >= 50")
 
     def variances(data, h):
-        parts = hoeffding_decompose(data, kernel, h, tau, w)
+        parts = hoeffding_decompose(data, kernel, h, math.inf, w)
         return parts.var1_hat, parts.var2_hat
 
     rows = []

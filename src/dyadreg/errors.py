@@ -13,10 +13,6 @@ class AssumptionViolation(DyadregError):
     """A maintained assumption fails for the requested computation."""
 
 
-class TruncationInfeasible(AssumptionViolation):
-    """No truncation threshold satisfies all feasibility inequalities."""
-
-
 class PackingDegenerate(AssumptionViolation):
     """The packing family has fewer than two hypotheses."""
 

@@ -25,24 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import DyadicDataset
-from .errors import TruncationInfeasible
 from .kernels import KernelSpec
 
 __all__ = [
     "BandwidthRule",
-    "TruncationRule",
-    "TruncationBounds",
     "NwResult",
     "bandwidth",
     "kernel_scale",
-    "a_n",
-    "a_n_star",
     "psi_hat",
-    "truncated_psi",
     "f_hat_w",
     "nw_estimate",
-    "truncation_bounds",
-    "truncation_threshold",
 ]
 
 BANDWIDTH_MODES = ("pointwise-optimal", "uniform-optimal", "fixed", "custom-exponent")
@@ -88,18 +80,6 @@ def kernel_scale(h: float, dim: int) -> float:
         return h ** (-dim)
     except OverflowError:
         raise ValueError(f"bandwidth {h!r} is too small: h^-{dim} overflows") from None
-
-
-def a_n(n_units: int, h: float, d_x: int) -> float:
-    """Uniform deviation scale (ln N / (N h^d_x))^(1/2)."""
-    if n_units < 3 or not (math.isfinite(h) and h > 0):
-        raise ValueError(f"need n_units >= 3 and a finite bandwidth h > 0, got {n_units} and {h}")
-    return math.sqrt(math.log(n_units) / (n_units * h**d_x))
-
-
-def a_n_star(n_units: int, h: float, d_x: int, beta: float) -> float:
-    """Deviation-plus-bias scale a_N + h^beta."""
-    return a_n(n_units, h, d_x) + h**beta
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +156,6 @@ def psi_hat(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
     return float(_pair_sums(data, kernel, h, [w], data.y)[0][0])
 
 
-def truncated_psi(data: DyadicDataset, kernel: KernelSpec, h: float, tau: float, w) -> float:
-    """psi_hat with outcomes zeroed where |Y_ij| >= tau; equals psi_hat once
-    tau exceeds max |Y_ij|."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    return float(_pair_sums(data, kernel, h, [w], data.y * (np.abs(data.y) < tau))[0][0])
-
-
 def f_hat_w(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
     """Kernel density estimate of f_W at w (outcome-free pair average)."""
     return float(_pair_sums(data, kernel, h, [w], data.y)[1][0])
@@ -212,69 +184,3 @@ def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwRe
     np.divide(num, den, out=g_hat, where=defined)
     return NwResult(grid=grid, g_hat=g_hat, f_hat=den, defined=defined)
 
-
-# ---------------------------------------------------------------------------
-# truncation thresholds (uniform-convergence machinery)
-
-
-@dataclass(frozen=True)
-class TruncationRule:
-    s: float  # moment order (> 2, or math.inf for bounded Y)
-
-    def __post_init__(self):
-        if not (self.s > 2):
-            raise ValueError("moment order s must exceed 2")
-
-
-@dataclass(frozen=True)
-class TruncationBounds:
-    upper_deviation: float    # tau << a_N^-1
-    upper_degenerate: float   # tau << (N/ln N) h^(3/2 d_x)
-    lower_bias: float         # tau >> a_N^(-1/(s-1))
-    lower_residual: float     # tau >> min((N^2 phi_N)^(1/s), (a_N h^(2 d_x))^(-1/(s-1)))
-    lower: float
-    upper: float
-    feasible: bool
-    margin: float
-    binding: str
-
-
-def truncation_bounds(s: float, n_units: int, h: float, d_x: int) -> TruncationBounds:
-    """The four finite-N inequalities a valid threshold must satisfy."""
-    n = float(n_units)
-    a = a_n(n_units, h, d_x)
-    upper_dev = 1.0 / a
-    upper_deg = (n / math.log(n)) * h ** (1.5 * d_x)
-    if math.isinf(s):
-        lower_bias = lower_res = 1.0
-        name_lo = "1 (lower bounds degenerate, s = inf)"
-    else:
-        phi = (math.log(math.log(n))) ** 2 * math.log(n)
-        lower_bias = a ** (-1.0 / (s - 1.0))
-        lower_res = min((n**2 * phi) ** (1.0 / s), (a * h ** (2 * d_x)) ** (-1.0 / (s - 1.0)))
-        name_lo = ("a_N^(-1/(s-1))" if lower_bias > lower_res
-                   else "min((N^2 phi_N)^(1/s), (a_N h^(2 d_x))^(-1/(s-1)))")
-    lower = max(lower_bias, lower_res)
-    upper = min(upper_dev, upper_deg)
-    feasible = lower < upper
-    name_hi = "a_N^(-1)" if upper_dev < upper_deg else "(N/ln N) h^(3/2 d_x)"
-    binding = f"{name_lo} vs {name_hi}"
-    return TruncationBounds(upper_deviation=upper_dev, upper_degenerate=upper_deg,
-                            lower_bias=lower_bias, lower_residual=lower_res,
-                            lower=lower, upper=upper, feasible=feasible,
-                            margin=upper / lower, binding=binding)
-
-
-def truncation_threshold(rule: TruncationRule, n_units: int, h: float, d_x: int) -> float:
-    """Geometric midpoint of the feasible threshold interval (log scale);
-    with s = inf the lower bounds degenerate and the threshold is the square
-    root of the product of the two upper bounds."""
-    tb = truncation_bounds(rule.s, n_units, h, d_x)
-    if not tb.feasible:
-        raise TruncationInfeasible(
-            f"no feasible truncation threshold at N={n_units}, h={h:.6g}, s={rule.s}: "
-            f"required {tb.binding}, but lower bound {tb.lower:.6g} >= upper bound {tb.upper:.6g}"
-        )
-    if math.isinf(rule.s):
-        return math.sqrt(tb.upper_deviation * tb.upper_degenerate)
-    return math.sqrt(tb.lower * tb.upper)

@@ -256,8 +256,11 @@ def rate_fit_json(fit: RateFit) -> str:
 
 
 def plot_data(fit: RateFit) -> str:
-    """Two-column (ln n_value, ln err) text for external plotting."""
+    """Two-column (ln n_value, ln err) text for external plotting; rows whose
+    error is not positive and finite have no logarithm and are left out."""
     lines = []
     for x, r in zip(_rate_axis(fit.mode, [r.n_units for r in fit.rows]), fit.rows):
-        lines.append(f"{math.log(x)!r} {math.log(_metric_err(r, fit.metric))!r}")
-    return "\n".join(lines) + "\n"
+        err = _metric_err(r, fit.metric)
+        if math.isfinite(err) and err > 0:
+            lines.append(f"{math.log(x)!r} {math.log(err)!r}\n")
+    return "".join(lines)

@@ -17,10 +17,7 @@ from conftest import naive_f_hat, naive_nw, naive_psi_hat
 from dyadreg.cli import main
 from dyadreg.decomposition import variance_dominance
 from dyadreg.dgp import make_dgp, replicate, simulate
-from dyadreg.errors import TruncationInfeasible
-from dyadreg.estimator import (BandwidthRule, TruncationRule, bandwidth, f_hat_w,
-                               nw_estimate, psi_hat, truncated_psi,
-                               truncation_threshold)
+from dyadreg.estimator import BandwidthRule, bandwidth, f_hat_w, nw_estimate, psi_hat
 from dyadreg.kernels import dominating_kernel, kernel_moment, make_kernel
 from dyadreg.minimax import (build_selection, fano_kl_average, holder_membership_check,
                              hypothesis_g, kl_two_point, make_fano, make_two_point,
@@ -247,39 +244,6 @@ def test_criterion_8_kernel_assumptions():
     _report(8, ok, f"worst moment deviation {worst_moment:.2e} (<= 1e-6); "
                    f"Lipschitz violations {lip_viol}, dominating violations {dom_viol} "
                    f"on 10^4 samples per kernel")
-
-
-# --- criterion 9: truncation coherence -----------------------------------------
-
-
-def test_criterion_9_truncation_coherence():
-    # bounded-Y DGP: the truncated average equals the plain one exactly once
-    # tau clears max |Y|
-    spec = make_dgp("sigmoid_graphon")
-    data = simulate(spec, 40, 17)
-    kernel = make_kernel("gaussian", 2)
-    rule = BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1)
-    h = bandwidth(rule, 40)
-    tau_rule = truncation_threshold(TruncationRule(s=math.inf), 40, h, 1)
-    max_y = float(np.nanmax(np.abs(data.y)))
-    exact_equal = (tau_rule > max_y
-                   and truncated_psi(data, kernel, h, tau_rule, W0) == psi_hat(data, kernel, h, W0))
-
-    feasible = True
-    for s in (4.0, math.inf):
-        for n in (50, 100, 200, 400):
-            tau = truncation_threshold(TruncationRule(s=s), n, bandwidth(rule, n), 1)
-            feasible &= tau > 0
-    try:
-        truncation_threshold(TruncationRule(s=2.1), 50, bandwidth(rule, 50), 1)
-        infeasible_reported = False
-        message = "no error raised"
-    except TruncationInfeasible as exc:
-        infeasible_reported = True
-        message = str(exc)
-    ok = exact_equal and feasible and infeasible_reported
-    _report(9, ok, f"exact equality beyond max|Y| ({exact_equal}); s in {{4, inf}} feasible "
-                   f"for N in 50..400; s=2.1, N=50 refused: {message[:80]}")
 
 
 # --- criterion 10: determinism ---------------------------------------------------

@@ -260,6 +260,22 @@ def test_rates_outputs_and_determinism(tmp_path):
         assert len(b1) > 0
 
 
+def test_rates_with_zero_errors_writes_all_outputs(tmp_path, capsys):
+    # every estimate is exact, so every error is 0 and has no logarithm
+    prefix = str(tmp_path / "z")
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("dgp.kind = noiseless\ndgp.g = zero\nmode = pointwise\nw0 = 0.5,0.5\n"
+                   f"n_list = 10,12,14,16\nreps = 50\nout.prefix = {prefix}\n")
+    assert main(["rates", "--config", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(prefix + ".fit.json") as fh:
+        assert json.load(fh)["degenerate"] is True
+    assert os.path.exists(prefix + ".csv")
+    with open(prefix + ".plot.dat") as fh:
+        plot = fh.read()
+    assert "inf" not in plot and "nan" not in plot
+
+
 def test_minimax_report(tmp_path):
     out = str(tmp_path / "mm.json")
     rc = main(["minimax", "--variant", "two-point", "--beta", "2", "--c0", "1",

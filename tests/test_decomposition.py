@@ -8,7 +8,7 @@ from conftest import naive_hoeffding
 
 from dyadreg.dgp import DyadicDataset, make_dgp, simulate
 from dyadreg.decomposition import hoeffding_decompose, variance_dominance
-from dyadreg.estimator import BandwidthRule, truncated_psi
+from dyadreg.estimator import BandwidthRule
 from dyadreg.kernels import make_kernel
 
 W0 = np.array([0.5, 0.5])
@@ -37,14 +37,6 @@ def test_unit_additive_outcomes_flat_kernel_have_no_degenerate_part():
     parts = hoeffding_decompose(data, k, 50.0, math.inf, W0)
     assert parts.var1_hat > 0.0
     assert parts.var2_hat < 0.1 * parts.var1_hat
-
-
-def test_statistic_equals_truncated_psi():
-    data = simulate(make_dgp("theorem1", "sin_additive"), 8, 21)
-    k = make_kernel("gaussian", 2)
-    tau = 2.0
-    parts = hoeffding_decompose(data, k, 0.4, tau, W0)
-    assert parts.statistic == pytest.approx(truncated_psi(data, k, 0.4, tau, W0), rel=1e-12)
 
 
 def test_unit_contributions_center_to_zero():

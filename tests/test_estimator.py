@@ -9,10 +9,8 @@ from conftest import naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat, n
 
 from dyadreg.decomposition import hoeffding_decompose
 from dyadreg.dgp import DyadicDataset, make_dgp, replication_seed, simulate
-from dyadreg.errors import TruncationInfeasible
-from dyadreg.estimator import (BandwidthRule, TruncationRule, a_n, a_n_star, bandwidth,
-                               _weights, f_hat_w, kernel_scale, nw_estimate, psi_hat, truncated_psi,
-                               truncation_bounds, truncation_threshold)
+from dyadreg.estimator import (BandwidthRule, bandwidth, _weights, f_hat_w, kernel_scale,
+                               nw_estimate, psi_hat)
 from dyadreg.kernels import KERNEL_IDS, make_kernel
 from dyadreg.rates import product_grid
 
@@ -47,18 +45,6 @@ def test_bandwidth_shrinks_with_growing_window():
     hs = [bandwidth(rule, n) for n in (10, 100, 1000, 10_000)]
     assert all(h1 > h2 for h1, h2 in zip(hs, hs[1:]))
     assert all(n * bandwidth(rule, n) > 5 for n in (100, 1000, 10_000))
-
-
-def test_a_n_values():
-    h = (math.log(100) / 100) ** 0.2
-    expect = math.sqrt(math.log(100) / (100 * h))
-    assert a_n(100, h, 1) == pytest.approx(expect, rel=1e-12)
-    assert expect == pytest.approx(0.2920, abs=1e-4)
-    assert a_n_star(100, h, 1, 2.0) == pytest.approx(expect + h * h, rel=1e-12)
-    assert expect + h * h == pytest.approx(0.5839, abs=5e-5)
-    n = int(round(math.exp(2)))
-    h_unit = 1.0  # N h = N
-    assert a_n(n, h_unit, 1) == pytest.approx(math.sqrt(math.log(n) / n), rel=1e-12)
 
 
 def test_psi_hat_zero_outcomes():
@@ -167,30 +153,6 @@ def test_permutation_invariance():
     assert f_hat_w(data_p, k, 0.4, w) == pytest.approx(f_hat_w(data, k, 0.4, w), rel=1e-12)
 
 
-def test_truncated_psi_tau_above_max_equals_psi_hat():
-    data = simulate(make_dgp("theorem1", "sin_additive"), 9, 10)
-    k = make_kernel("gaussian", 2)
-    tau = float(np.nanmax(np.abs(data.y))) * 1.01
-    w = [0.5, 0.5]
-    assert truncated_psi(data, k, 0.4, tau, w) == psi_hat(data, k, 0.4, w)
-
-
-def test_truncated_psi_tiny_tau_kills_everything():
-    data = simulate(make_dgp("theorem1", "sin_additive"), 9, 10)
-    k = make_kernel("gaussian", 2)
-    assert truncated_psi(data, k, 0.4, 1e-300, [0.5, 0.5]) == 0.0
-
-
-def test_truncated_psi_matches_naive():
-    data = simulate(make_dgp("theorem1", "sin_additive"), 5, 12)
-    k = make_kernel("gaussian", 2)
-    tau = float(np.nanmedian(np.abs(data.y)))
-    w = np.array([0.5, 0.5])
-    got = truncated_psi(data, k, 0.5, tau, w)
-    ref = naive_pair_average(data, k, 0.5, w, use_y=True, tau=tau)
-    assert got == pytest.approx(ref, rel=1e-12)
-
-
 @pytest.mark.parametrize("diagonal", [np.nan, 7.5, np.inf])
 def test_diagonal_input_is_ignored(diagonal):
     clean = simulate(make_dgp("theorem1", "sin_additive"), 9, 4)
@@ -203,13 +165,12 @@ def test_diagonal_input_is_ignored(diagonal):
     results = []
     for d in (clean, data):
         parts = hoeffding_decompose(d, k, h, tau, w)
-        results.append((psi_hat(d, k, h, w), truncated_psi(d, k, h, tau, w),
-                        nw_estimate(d, k, h, [w]).g_hat[0], parts.statistic, parts.var1_hat, parts.var2_hat))
+        results.append((psi_hat(d, k, h, w), nw_estimate(d, k, h, [w]).g_hat[0],
+                        parts.statistic, parts.var1_hat, parts.var2_hat))
     assert results[0] == results[1]
-    psi, tpsi, g_hat, statistic = results[1][:4]
+    psi, g_hat, statistic = results[1][:3]
     assert psi == pytest.approx(naive_psi_hat(data, k, h, w), rel=1e-12)
-    assert tpsi == pytest.approx(naive_pair_average(data, k, h, w, tau=tau), rel=1e-12)
-    assert statistic == pytest.approx(tpsi, rel=1e-12)
+    assert statistic == pytest.approx(naive_pair_average(data, k, h, w, tau=tau), rel=1e-12)
     assert g_hat == pytest.approx(naive_nw(data, k, h, w)[0], rel=1e-12)
 
 
@@ -224,52 +185,6 @@ def test_one_point_estimate_does_not_copy_outcomes():
     finally:
         tracemalloc.stop()
     assert peak < data.y.nbytes / 4
-
-
-def test_truncation_threshold_s_inf():
-    rule = BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1)
-    h = bandwidth(rule, 50)
-    tb = truncation_bounds(math.inf, 50, h, 1)
-    assert tb.feasible
-    tau = truncation_threshold(TruncationRule(s=math.inf), 50, h, 1)
-    assert tau == pytest.approx(math.sqrt(tb.upper_deviation * tb.upper_degenerate), rel=1e-12)
-
-
-def test_truncation_threshold_s4_large_n_feasible_with_margin():
-    rule = BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1)
-    h = bandwidth(rule, 10_000)
-    tb = truncation_bounds(4.0, 10_000, h, 1)
-    # the feasible window at this scale is roughly a factor 2.5 wide
-    assert tb.feasible
-    assert tb.margin > 2.0
-    tau = truncation_threshold(TruncationRule(s=4.0), 10_000, h, 1)
-    assert tb.lower < tau < tb.upper
-
-
-def test_truncation_infeasible_small_n_heavy_tail():
-    rule = BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1)
-    h = bandwidth(rule, 50)
-    with pytest.raises(TruncationInfeasible, match="lower bound"):
-        truncation_threshold(TruncationRule(s=2.1), 50, h, 1)
-
-
-def test_truncation_rule_requires_s_above_two():
-    with pytest.raises(ValueError):
-        TruncationRule(s=2.0)
-
-
-def test_truncation_binding_label_s_inf_names_degenerate_lower_bound():
-    h = bandwidth(BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1), 50)
-    tb = truncation_bounds(math.inf, 50, h, 1)
-    assert tb.lower_bias == tb.lower_residual == 1.0
-    assert tb.binding == "1 (lower bounds degenerate, s = inf) vs a_N^(-1)"
-
-
-def test_truncation_binding_label_s4():
-    h = bandwidth(BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1), 10_000)
-    tb = truncation_bounds(4.0, 10_000, h, 1)
-    assert tb.lower_residual > tb.lower_bias and tb.upper_deviation < tb.upper_degenerate
-    assert tb.binding == "min((N^2 phi_N)^(1/s), (a_N h^(2 d_x))^(-1/(s-1))) vs a_N^(-1)"
 
 
 def test_grid_batch_matches_single_point_evaluations():
@@ -292,7 +207,6 @@ def test_one_point_estimators_equal_grid_estimate_bitwise(kernel_id, d_x, rng):
     spec = make_dgp("theorem1", "sin_additive", d_x=d_x)
     for n in (3, 7, 60, 200):
         data = simulate(spec, n, 31 * n + d_x)
-        tau = float(np.max(np.abs(data.y))) * 1.01
         for _ in range(3):
             w = rng.uniform(0.2, 0.8, 2 * d_x)
             h = float(rng.uniform(0.2, 0.8))
@@ -302,7 +216,6 @@ def test_one_point_estimators_equal_grid_estimate_bitwise(kernel_id, d_x, rng):
             assert f == res.f_hat[0]
             if res.defined[0]:
                 assert psi / f == res.g_hat[0]
-            assert truncated_psi(data, k, h, tau, w) == psi
 
 
 def test_bias_shrinks_at_order_h_to_beta():
@@ -440,12 +353,6 @@ def test_bandwidth_must_be_finite_and_positive(h):
         psi_hat(data, k, h, w)
     with pytest.raises(ValueError, match="bandwidth"):
         hoeffding_decompose(data, k, h, math.inf, w)
-    with pytest.raises(ValueError, match="bandwidth"):
-        a_n(100, h, 1)
-    with pytest.raises(ValueError, match="bandwidth"):
-        truncation_bounds(4.0, 100, h, 1)
-    with pytest.raises(ValueError, match="bandwidth"):
-        truncation_threshold(TruncationRule(4.0), 100, h, 1)
 
 
 def test_product_grid_with_repeated_halves_matches_oracle():
