@@ -1,32 +1,21 @@
-# The shipped kernel families and their certified constants: sup bounds,
-# L1 norms, vanishing moments of the bias-reducing variants, and the
-# dominating majorant used in uniform-convergence covering arguments.
+# The shipped kernel families: their order and certified sup bound k_max,
+# and the vanishing moments of the bias-reducing fourth-order gaussian.
 
 import numpy as np
 
-from dyadreg.kernels import (KERNEL_IDS, dominating_kernel, eval_kernel,
-                             kernel_moment, make_kernel)
+from dyadreg.kernels import KERNEL_IDS, kernel_moment, make_kernel
 
 
 def main():
-    print(f"{'id':>14} {'dim':>4} {'order':>6} {'k_max':>10} {'l1':>8} {'lipschitz':>34}")
+    print(f"{'id':>14} {'dim':>4} {'order':>6} {'k_max':>10}")
     for kid in KERNEL_IDS:
         k = make_kernel(kid, 2)
-        li = "-" if k.lipschitz is None else (
-            f"L1={k.lipschitz.lambda1:.3f} L={k.lipschitz.support_l:.2f} "
-            f"nu={k.lipschitz.tail_nu}")
-        print(f"{kid:>14} {k.dim:>4} {k.order:>6} {k.k_max:10.5f} {k.l1_norm:8.4f} {li:>34}")
+        print(f"{kid:>14} {k.dim:>4} {k.order:>6} {k.k_max:10.5f}")
 
     print("\nmoments of the fourth-order gaussian factor (should vanish up to 3):")
     k4 = make_kernel("gaussian_o4", 1)
     for j in range(5):
         print(f"  int u^{j} K(u) du = {kernel_moment(k4, np.array([j])):+.2e}")
-
-    print("\ndominating kernel for the gaussian product (d=2):")
-    k = make_kernel("gaussian", 2)
-    for r in (0.0, 1.5, 3.0, 5.0):
-        u = np.array([r, 0.0])
-        print(f"  ||u|| = {r:.1f}: K(u) = {eval_kernel(k, u):.5f}, K*(u) = {dominating_kernel(k, u):.5f}")
 
 
 if __name__ == "__main__":

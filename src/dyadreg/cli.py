@@ -251,6 +251,26 @@ def _cmd_rates(args) -> list[str]:
 
 # --- minimax -----------------------------------------------------------------
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _check_minimax_range(con, n_list, reps: int):
+    """Refuse, before any Monte Carlo, an --l or --c0 whose report would leave
+    float range. In logs: a KL draw is at most N A^2 / 2 with A = L h_N^beta K(0)
+    the hypothesis amplitude, and np.std sums `reps` squares of such draws; the
+    two-point bound is L^2 K(0)^2 c0^(2 beta + d_x) / 2 (B3 = 1), each power
+    taken on its own."""
+    log_l, log_k0 = math.log(con.l_const), math.log(con.k_at_zero)
+    log_pow = (2.0 * con.beta + con.d_x) * math.log(con.c0)
+    for n in n_list:
+        log_kl = math.log(0.5 * n) + 2.0 * (log_l + con.beta * math.log(con.h_n(n)) + log_k0)
+        logs = [2.0 * log_kl + math.log(reps), 2.0 * log_l]
+        if con.variant == "two-point":
+            logs += [log_pow, math.log(0.5) + 2.0 * (log_l + log_k0) + log_pow]
+        if max(logs) >= _LOG_FLOAT_MAX:
+            raise ConfigError(f"--l {con.l_const:g} with --c0 {con.c0:g} puts the minimax "
+                              f"report out of float range at N={n}")
+
 
 def _cmd_minimax(args) -> list[str]:
     n_list = _parse_list(args.n, "--n", int)
@@ -261,6 +281,7 @@ def _cmd_minimax(args) -> list[str]:
         con = (make_two_point if two_point else make_fano)(args.beta, args.l, args.c0, args.d_x)
     except ValueError as exc:
         raise ConfigError(f"minimax construction: {exc}") from None
+    _check_minimax_range(con, n_list, args.reps)
     reports = []
     for n in n_list:
         if two_point:

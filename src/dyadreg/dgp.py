@@ -29,13 +29,10 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import AssumptionViolation
-
 __all__ = [
     "DyadicDataset",
     "DgpSpec",
     "RegressorLaw",
-    "MomentBounds",
     "uniform_law",
     "truncnorm_law",
     "make_dgp",
@@ -44,7 +41,6 @@ __all__ = [
     "replication_seed",
     "replicate",
     "axes_grid",
-    "dyad_moment_bounds",
     "true_g_on_grid",
     "atomic_open",
     "save_dataset",
@@ -71,11 +67,8 @@ def axes_grid(axes) -> np.ndarray:
 class RegressorLaw:
     name: str
     d_x: int
-    b3: float
-    support_lo: tuple[float, ...]
-    support_hi: tuple[float, ...]
+    b3: float                          # sup of the density of X
     sample: Callable[[np.random.Generator, int], np.ndarray]
-    density: Callable[[np.ndarray], np.ndarray]
 
 
 def uniform_law(d_x: int) -> RegressorLaw:
@@ -84,12 +77,7 @@ def uniform_law(d_x: int) -> RegressorLaw:
     def sample(rng, n):
         return rng.random((n, d_x))
 
-    def density(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        inside = np.all((x >= 0.0) & (x <= 1.0), axis=-1)
-        return inside.astype(float)
-
-    return RegressorLaw("uniform", d_x, 1.0, (0.0,) * d_x, (1.0,) * d_x, sample, density)
+    return RegressorLaw("uniform", d_x, 1.0, sample)
 
 
 def truncnorm_law(d_x: int, radius: float = 2.0) -> RegressorLaw:
@@ -102,14 +90,7 @@ def truncnorm_law(d_x: int, radius: float = 2.0) -> RegressorLaw:
         lo = ndtr(-radius)
         return ndtri(lo + u * (1.0 - 2.0 * lo))
 
-    def density(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        inside = np.all(np.abs(x) <= radius, axis=-1)
-        vals = np.prod(np.exp(-0.5 * x**2) / (math.sqrt(2.0 * math.pi) * z), axis=-1)
-        return np.where(inside, vals, 0.0)
-
-    return RegressorLaw("truncnorm", d_x, peak**d_x,
-                        (-radius,) * d_x, (radius,) * d_x, sample, density)
+    return RegressorLaw("truncnorm", d_x, peak**d_x, sample)
 
 
 @dataclass(frozen=True)
@@ -119,7 +100,6 @@ class DgpSpec:
     beta: float                        # Holder smoothness the rate theory is stated for
     g: Callable | None                 # (x1, x2) -> E[Y | x1, x2], None if not closed-form
     graphon: Callable | None = None    # (x1, x2, u1, u2, v) -> outcome; None: g + U_i + U_j + V_ij
-    y_bound: float | None = None       # sup |Y| when outcomes are bounded
 
     def __post_init__(self):
         if self.g is None and self.graphon is None:
@@ -208,7 +188,7 @@ def make_dgp(kind: str, g_name: str = "sin_additive", d_x: int = 1,
         def h(x1, x2, u1, u2, v):
             return 1.0 / (1.0 + np.exp(-(_coordsum(x1) + _coordsum(x2) + u1 + u2 + v)))
 
-        return DgpSpec("sigmoid_graphon", reg_law, beta, None, graphon=h, y_bound=1.0)
+        return DgpSpec("sigmoid_graphon", reg_law, beta, None, graphon=h)
     if kind == "threshold_graphon":
         def h(x1, x2, u1, u2, v):
             return (u1 + u2 + _coordsum(x1) + _coordsum(x2) > 0).astype(float)
@@ -216,7 +196,7 @@ def make_dgp(kind: str, g_name: str = "sin_additive", d_x: int = 1,
         def g(x1, x2):
             return ndtr((_coordsum(x1) + _coordsum(x2)) / math.sqrt(2.0))
 
-        return DgpSpec("threshold_graphon", reg_law, beta, g, graphon=h, y_bound=1.0)
+        return DgpSpec("threshold_graphon", reg_law, beta, g, graphon=h)
     raise ValueError(f"unknown dgp kind {kind!r}; known: {', '.join(DGP_KINDS)}")
 
 
@@ -302,82 +282,6 @@ def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic):
             data = simulate(spec, n, replication_seed(seed, idx, rep))
             stats.append(statistic(data, h))
         yield n, stats
-
-
-# --- assumption diagnostics -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentBounds:
-    b4_hat: float
-    b5_hat: float
-    cond_moment_s: float | None
-    s: float
-    bounded_y: bool
-
-
-def _conditional_draws(spec: DgpSpec, x1, x2, u1, u2, v) -> np.ndarray:
-    # x1, x2: (G, d_x); latents: (mc, 1); result (mc, G)
-    if spec.graphon is None:
-        return spec.g(x1, x2)[None, :] + u1 + u2 + v
-    return spec.graphon(x1, x2, u1, u2, v)
-
-
-def dyad_moment_bounds(spec: DgpSpec, mc_reps: int, seed: int, s: float = 4.0,
-                       grid_points: int = 9) -> MomentBounds:
-    """Monte Carlo estimates of the density-weighted conditional moment
-    suprema over a regressor grid (roles of B4, B5, and the s-th moment)."""
-    if mc_reps < 1000:
-        raise ValueError("mc_reps must be >= 1000")
-    law = spec.regressor_law
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in zip(law.support_lo, law.support_hi)]
-    pts = axes_grid(axes)  # (G, d_x)
-    rng = _stream(seed, 3)
-
-    # pairs (x1, x2) over the grid product
-    pair = axes_grid([np.arange(len(pts))] * 2)
-    x1 = pts[pair[:, 0]]
-    x2 = pts[pair[:, 1]]
-    u1 = rng.standard_normal((mc_reps, 1))
-    u2 = rng.standard_normal((mc_reps, 1))
-    v12 = rng.standard_normal((mc_reps, 1))
-    y12 = _conditional_draws(spec, x1, x2, u1, u2, v12)
-    w_pair = law.density(x1) * law.density(x2)
-    m2 = np.mean(y12**2, axis=0)
-    if not np.all(np.isfinite(m2)):
-        raise AssumptionViolation("non-finite conditional second moment encountered")
-    b4_hat = float(np.max(m2 * w_pair))
-
-    bounded = spec.y_bound is not None
-    if bounded:
-        cond_s = None
-        s_out = math.inf
-    else:
-        ms = np.mean(np.abs(y12) ** s, axis=0)
-        if not np.all(np.isfinite(ms)):
-            raise AssumptionViolation(f"non-finite conditional moment of order {s}")
-        cond_s = float(np.max(ms * w_pair))
-        s_out = s
-
-    # triples for B5 on a coarser grid; Y12 and Y13 share U1
-    coarse = [ax[:: max(1, len(ax) // 5)] for ax in axes]
-    cpts = axes_grid(coarse)
-    triple = axes_grid([np.arange(len(cpts))] * 3)
-    x1t, x2t, x3t = cpts[triple[:, 0]], cpts[triple[:, 1]], cpts[triple[:, 2]]
-    tu1 = rng.standard_normal((mc_reps, 1))
-    tu2 = rng.standard_normal((mc_reps, 1))
-    tu3 = rng.standard_normal((mc_reps, 1))
-    tv12 = rng.standard_normal((mc_reps, 1))
-    tv13 = rng.standard_normal((mc_reps, 1))
-    y12t = _conditional_draws(spec, x1t, x2t, tu1, tu2, tv12)
-    y13t = _conditional_draws(spec, x1t, x3t, tu1, tu3, tv13)
-    m11 = np.mean(np.abs(y12t * y13t), axis=0)
-    if not np.all(np.isfinite(m11)):
-        raise AssumptionViolation("non-finite conditional cross moment encountered")
-    w3 = law.density(x1t) * law.density(x2t) * law.density(x3t)
-    b5_hat = float(np.max(m11 * w3))
-    return MomentBounds(b4_hat=b4_hat, b5_hat=b5_hat, cond_moment_s=cond_s,
-                        s=s_out, bounded_y=bounded)
 
 
 def true_g_on_grid(spec: DgpSpec, grid, mc_integration: bool = False,
@@ -495,7 +399,8 @@ def read_manifest(pairs_path: str) -> dict:
         manifest = json.load(fh)
     fields = manifest if isinstance(manifest, dict) else {}
     n, d = fields.get("n_units"), fields.get("d_x")
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 2 and d >= 1):
+    # type(), not isinstance: a JSON true loads as a bool, which is an int subclass
+    if not (type(n) is int and type(d) is int and n >= 2 and d >= 1):
         raise ValueError(f"{pairs_path}: manifest must state integers n_units >= 2 and d_x >= 1")
     return manifest
 

@@ -88,6 +88,8 @@ _EST = ["estimate", "--data", "{d}/d.csv", "--out", "{d}/o.csv"]
 # dataset name -> (file suffix, line, field, text): a copy of d.csv with one cell replaced
 _BAD_CELLS = {"nan-y": (".csv", 5, 2, "nan"), "abc-y": (".csv", 3, 2, "abc"),
               "nan-x": (".units.csv", 4, 1, "nan")}
+# dataset name -> manifest entries: a copy of d.csv whose manifest states them
+_BAD_MANIFESTS = {"bool-d_x": {"d_x": True}}
 _DIAG = ["diagnose", "--n", "50,100", "--out", "{d}/o.csv"]
 _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
 
@@ -131,7 +133,7 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
     ["rates", "--config", "{d}/latin1.cfg"],
     ["simulate", "--n", "20", "--seed", "1", "--out", "{d}"],
     *[["estimate", "--data", f"{{d}}/{name}.csv", "--grid", "0.2:0.8:3", "--out", "{d}/o.csv"]
-      for name in _BAD_CELLS],
+      for name in [*_BAD_CELLS, *_BAD_MANIFESTS]],
     ["simulate", "--n", "20", "--seed", "-1", "--out", "{d}/o.csv"],
     _DIAG + ["--seed", "-2", "--w", "0.5,0.5"],
     _MINIMAX + ["--seed", "-5"],
@@ -140,6 +142,12 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
     _DIAG + ["--bandwidth", "fixed:1e-300", "--w", "0.5,0.5"],
     ["rates", "--config", "{d}/c0-overflow.cfg"],
     ["rates", "--config", "{d}/dgp-l.cfg"],
+    _MINIMAX + ["--c0", "1e200", "--reps", "10"],
+    _MINIMAX + ["--l", "1e300", "--reps", "10"],
+    ["minimax", "--variant", "fano", "--l", "1e300", "--c0", "0.5", "--n", "100", "--reps", "10",
+     "--out", "{d}/o.json"],
+    _MINIMAX + ["--l", "1e100", "--reps", "10"],
+    _MINIMAX + ["--l", "1e150", "--c0", "1e30", "--reps", "10"],
 ], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
         "estimate-missing-file", "rates-d_x-1.5", "rates-n_list-2", "minimax-n-1", "minimax-reps-1",
         "simulate-d-x-0", "diagnose-d-x-0",
@@ -150,10 +158,11 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
         "rates-grid-steps-0", "simulate-out-no-dir", "estimate-out-no-dir", "minimax-out-no-dir",
         "diagnose-out-no-dir", "rates-prefix-no-dir", "rates-config-directory",
         "rates-config-not-utf8", "simulate-out-is-directory",
-        *[f"estimate-{name}" for name in _BAD_CELLS],
+        *[f"estimate-{name}" for name in [*_BAD_CELLS, *_BAD_MANIFESTS]],
         "simulate-seed-negative", "diagnose-seed-negative", "minimax-seed-negative",
         "rates-seed-negative", "estimate-bandwidth-overflow", "diagnose-bandwidth-overflow",
-        "rates-c0-overflow", "rates-dgp-l"])
+        "rates-c0-overflow", "rates-dgp-l", "minimax-c0-overflow", "minimax-l-overflow",
+        "minimax-fano-l-overflow", "minimax-kl-overflow", "minimax-bound-overflow"])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
@@ -167,6 +176,11 @@ def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
         for part in (".csv", ".units.csv", ".manifest.json"):
             shutil.copy(tmp_path / f"d{part}", tmp_path / f"{name}{part}")
         replace_cell(tmp_path / f"{name}{suffix}", line, field, text)
+    for name, entries in _BAD_MANIFESTS.items():
+        for part in (".csv", ".units.csv"):
+            shutil.copy(tmp_path / f"d{part}", tmp_path / f"{name}{part}")
+        manifest = json.loads((tmp_path / "d.manifest.json").read_text())
+        (tmp_path / f"{name}.manifest.json").write_text(json.dumps({**manifest, **entries}))
     before = sorted(os.listdir(d))
     capsys.readouterr()
     assert main([a.format(d=d) for a in argv]) == 2

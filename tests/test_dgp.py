@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, truncnorm
 
 from conftest import naive_latents, naive_simulate, replace_cell
 from dyadreg import dgp
-from dyadreg.dgp import (DGP_KINDS, DyadicDataset, dyad_moment_bounds, load_dataset, make_dgp,
-                         save_dataset, simulate, simulate_latents, true_g_on_grid, truncnorm_law,
-                         uniform_law)
-from dyadreg.errors import AssumptionViolation
+from dyadreg.dgp import (DGP_KINDS, DyadicDataset, load_dataset, make_dgp, save_dataset,
+                         simulate, simulate_latents, true_g_on_grid, truncnorm_law, uniform_law)
 
 
 def test_zero_regression_n2_reconstructs_from_latents():
@@ -147,45 +144,6 @@ def test_relative_exchangeability_smoke():
     assert res.pvalue > 0.01
 
 
-def test_moment_bounds_zero_regression():
-    spec = make_dgp("theorem1", "zero")
-    mb = dyad_moment_bounds(spec, mc_reps=4000, seed=5)
-    # E[|Y12|^2 | x] = Var(U1+U2+V12) = 3 everywhere, f = 1 on the cube
-    assert mb.b4_hat == pytest.approx(3.0, abs=0.3)
-    assert not mb.bounded_y and mb.s == 4.0
-    assert mb.cond_moment_s == pytest.approx(27.0, rel=0.15)  # E Z^4 = 3 sigma^4
-
-
-def test_moment_bounds_b5_vs_quadrature_oracle():
-    spec = make_dgp("theorem1", "zero")
-    mb = dyad_moment_bounds(spec, mc_reps=60_000, seed=6)
-    # (Y12, Y13) bivariate normal, Var 3, correlation 1/3 via shared U1
-    sigma = math.sqrt(3.0)
-    rho = 1.0 / 3.0
-    det = (1 - rho**2) * 9.0
-
-    def integrand(z2, z1):
-        q = (z1**2 - 2 * rho * z1 * z2 + z2**2) / (3.0 * (1 - rho**2))
-        return abs(z1 * z2) * math.exp(-0.5 * q) / (2 * math.pi * math.sqrt(det))
-
-    oracle, _ = dblquad(integrand, -6 * sigma, 6 * sigma, -6 * sigma, 6 * sigma, epsabs=1e-9)
-    assert mb.b5_hat == pytest.approx(oracle, rel=0.05)
-
-
-def test_moment_bounds_bounded_graphon_flags_infinite_s():
-    spec = make_dgp("sigmoid_graphon")
-    mb = dyad_moment_bounds(spec, mc_reps=2000, seed=7)
-    assert mb.bounded_y
-    assert math.isinf(mb.s)
-    assert mb.cond_moment_s is None
-    assert mb.b4_hat <= 1.0 + 1e-9
-
-
-def test_moment_bounds_requires_reps():
-    with pytest.raises(ValueError):
-        dyad_moment_bounds(make_dgp("theorem1", "zero"), mc_reps=10, seed=0)
-
-
 def test_true_g_examples():
     spec = make_dgp("theorem1", "sin_additive")
     assert true_g_on_grid(spec, [[0.0, 0.0]])[0] == 0.0
@@ -213,13 +171,14 @@ def test_true_g_graphon_without_cond_mean_guides_to_mc():
 def test_laws():
     ul = uniform_law(2)
     assert ul.b3 == 1.0
-    assert ul.density(np.array([[0.5, 0.5]]))[0] == 1.0
-    assert ul.density(np.array([[1.5, 0.5]]))[0] == 0.0
     tl = truncnorm_law(1)
     rng = np.random.default_rng(0)
     x = tl.sample(rng, 5000)
     assert np.all(np.abs(x) <= 2.0)
-    assert float(np.max(tl.density(x))) <= tl.b3 + 1e-12
+    # b3 is the peak of the truncated normal density, reached at 0
+    assert tl.b3 == pytest.approx(truncnorm(-2.0, 2.0).pdf(0.0), rel=1e-12)
+    assert float(np.max(truncnorm(-2.0, 2.0).pdf(x))) <= tl.b3 + 1e-12
+    assert truncnorm_law(2).b3 == pytest.approx(tl.b3**2, rel=1e-12)
 
 
 def test_roundtrip_persistence_exact(tmp_path):

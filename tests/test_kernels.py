@@ -5,9 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from dyadreg.errors import QuadratureFailure
-from dyadreg.kernels import (KERNEL_IDS, KernelSpec, LipschitzInfo, QuadratureConfig,
-                             _Factor, bump_eta, dominating_kernel, eval_kernel,
-                             kernel_moment, make_higher_order_kernel, make_kernel)
+from dyadreg.kernels import (KERNEL_IDS, KernelSpec, QuadratureConfig, _Factor, bump_eta,
+                             eval_kernel, kernel_moment, make_higher_order_kernel, make_kernel)
 
 GAUSS_AT_0 = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -110,34 +109,6 @@ def test_higher_order_epanechnikov():
     assert c[1] == pytest.approx(-35.0 / 8.0, rel=1e-12)
 
 
-def test_dominating_kernel_case_a_values():
-    spec = make_kernel("gaussian", 1)
-    # synthetic case-(a) data matching the worked constants
-    a_spec = KernelSpec(family=spec.family, dim=1, order=2, k_max=spec.k_max,
-                        l1_norm=spec.l1_norm, slice_bound=spec.slice_bound,
-                        lipschitz=LipschitzInfo(lambda1=1.0, support_l=1.0, tail_nu=None),
-                        factor=spec.factor)
-    assert dominating_kernel(a_spec, [0.0]) == pytest.approx(2.0)
-    assert dominating_kernel(a_spec, [3.0]) == 0.0  # ||u|| = 3 L
-
-
-def test_dominating_kernel_case_b_values():
-    spec = make_kernel("gaussian", 1)
-    b_spec = KernelSpec(family=spec.family, dim=1, order=2, k_max=spec.k_max,
-                        l1_norm=spec.l1_norm, slice_bound=spec.slice_bound,
-                        lipschitz=LipschitzInfo(lambda1=1.0, support_l=1.0, tail_nu=2.0),
-                        factor=spec.factor)
-    assert dominating_kernel(b_spec, [3.0]) == pytest.approx(2.0 * 1 * (3.0 - 1.0) ** -2)
-    assert dominating_kernel(b_spec, [1.5]) == pytest.approx(2.0)  # inside 2L
-
-
-def test_boxcar_has_no_lipschitz_data():
-    k = make_kernel("boxcar", 2)
-    assert k.lipschitz is None
-    with pytest.raises(ValueError):
-        dominating_kernel(k, [0.0, 0.0])
-
-
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sup_bound_on_dense_grid(kernel_id, dim):
@@ -150,47 +121,6 @@ def test_sup_bound_on_dense_grid(kernel_id, dim):
         pts = np.stack([a.ravel(), b.ravel()], axis=-1)
     vals = np.abs(np.prod(k.factor.fn(pts), axis=-1))
     assert np.max(vals) <= k.k_max + 1e-9
-
-
-@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
-def test_l1_norm_bound(kernel_id):
-    k = make_kernel(kernel_id, 2)
-    lo, hi = (-16, 16) if k.coord_support is None else (-k.coord_support, k.coord_support)
-    coord_l1, _ = quad(lambda t: abs(float(k.factor.fn(np.array([t]))[0])), lo, hi,
-                       points=list(k.factor.breaks) or None, limit=200)
-    assert coord_l1**2 <= k.l1_norm + 1e-6
-
-
-@pytest.mark.parametrize("kernel_id,dim", [("epanechnikov", 1), ("epanechnikov", 2),
-                                           ("bump", 1), ("bump", 2)])
-def test_lipschitz_property_case_a(kernel_id, dim, rng):
-    k = make_kernel(kernel_id, dim)
-    li = k.lipschitz
-    assert li.tail_nu is None
-    w1 = rng.uniform(-1.5, 1.5, size=(10_000, dim))
-    w2 = w1 + rng.standard_normal((10_000, dim)) * 0.3
-    v1 = np.prod(k.factor.fn(w1), axis=-1)
-    v2 = np.prod(k.factor.fn(w2), axis=-1)
-    dist = np.linalg.norm(w1 - w2, axis=-1)
-    assert np.all(np.abs(v1 - v2) <= li.lambda1 * dist + 1e-12)
-
-
-@pytest.mark.parametrize("kernel_id,dim", [("gaussian", 1), ("gaussian", 2),
-                                           ("gaussian_o4", 2), ("gaussian_o6", 1),
-                                           ("epanechnikov", 2), ("bump", 1)])
-def test_dominating_inequality(kernel_id, dim, rng):
-    k = make_kernel(kernel_id, dim)
-    li = k.lipschitz
-    n = 10_000
-    w1 = rng.uniform(-4.0, 4.0, size=(n, dim))
-    delta = rng.uniform(0.0, li.support_l, size=n)
-    step = rng.standard_normal((n, dim))
-    step /= np.linalg.norm(step, axis=-1, keepdims=True)
-    w2 = w1 + step * (delta * rng.random(n))[:, None]
-    v1 = np.prod(k.factor.fn(w1), axis=-1)
-    v2 = np.prod(k.factor.fn(w2), axis=-1)
-    kstar = np.array([dominating_kernel(k, w) for w in w1])
-    assert np.all(np.abs(v2 - v1) <= delta * kstar + 1e-9)
 
 
 @pytest.mark.parametrize("kernel_id,order", [("gaussian_o4", 4), ("gaussian_o6", 6)])
@@ -224,8 +154,7 @@ def test_unknown_kernel_id_rejected():
 def test_quadrature_failure_reported():
     # a jump placed away from any declared break defeats panel alignment
     bad = _Factor(fn=lambda t: np.where(np.asarray(t) > 1.0 / 3.0, 1.0, 0.0),
-                  deriv=None, sup=1.0, l1=1.0, support=1.0, breaks=(), moment=None)
-    spec = KernelSpec(family="boxcar-product", dim=1, order=2, k_max=1.0, l1_norm=1.0,
-                      slice_bound=1.0, lipschitz=None, factor=bad)
+                  sup=1.0, support=1.0, breaks=(), moment=None)
+    spec = KernelSpec(family="boxcar-product", dim=1, order=2, k_max=1.0, factor=bad)
     with pytest.raises(QuadratureFailure):
         kernel_moment(spec, np.array([0]), QuadratureConfig(tol=1e-10, max_doublings=6))
