@@ -5,15 +5,19 @@
 import numpy as np
 
 from dyadreg.minimax import (build_selection, fano_kl_average, kl_two_point,
-                             make_fano, make_two_point, omega, separation_check,
+                             make_fano, make_two_point, separation_check,
                              woodbury_sides)
 
 
 def main():
     print("== selection structure ==")
     sel = build_selection(2)
+    rows = np.arange(len(sel.pair_i))
+    half = np.zeros((len(rows), sel.n_units))
+    half[rows, sel.pair_i] = half[rows, sel.pair_j] = 1.0
+    t = np.vstack([half, half])  # both directions of each dyad load the same units
     print("N=2 error covariance I + T T^T:")
-    print(omega(sel))
+    print(np.eye(len(t)) + t @ t.T)
 
     sel = build_selection(120)
     rng = np.random.default_rng(0)

@@ -252,6 +252,7 @@ def _cmd_rates(args) -> list[str]:
 # --- minimax -----------------------------------------------------------------
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 def _check_minimax_range(con, n_list, reps: int):
@@ -259,15 +260,17 @@ def _check_minimax_range(con, n_list, reps: int):
     float range. In logs: a KL draw is at most N A^2 / 2 with A = L h_N^beta K(0)
     the hypothesis amplitude, and np.std sums `reps` squares of such draws; the
     two-point bound is L^2 K(0)^2 c0^(2 beta + d_x) / 2 (B3 = 1), each power
-    taken on its own."""
+    taken on its own. On the small side, one bump's height s A, half the
+    required separation 2 s L K(0) c0^beta psi_N, must stay a normal float."""
     log_l, log_k0 = math.log(con.l_const), math.log(con.k_at_zero)
     log_pow = (2.0 * con.beta + con.d_x) * math.log(con.c0)
     for n in n_list:
-        log_kl = math.log(0.5 * n) + 2.0 * (log_l + con.beta * math.log(con.h_n(n)) + log_k0)
-        logs = [2.0 * log_kl + math.log(reps), 2.0 * log_l]
+        h = con.h_n(n)  # 0.0 once a subnormal c0 underflows
+        log_a = log_l + con.beta * (math.log(h) if h > 0.0 else -math.inf) + log_k0
+        logs = [2.0 * (math.log(0.5 * n) + 2.0 * log_a) + math.log(reps), 2.0 * log_l]
         if con.variant == "two-point":
             logs += [log_pow, math.log(0.5) + 2.0 * (log_l + log_k0) + log_pow]
-        if max(logs) >= _LOG_FLOAT_MAX:
+        if max(logs) >= _LOG_FLOAT_MAX or math.log(con.share) + log_a < _LOG_FLOAT_MIN:
             raise ConfigError(f"--l {con.l_const:g} with --c0 {con.c0:g} puts the minimax "
                               f"report out of float range at N={n}")
 

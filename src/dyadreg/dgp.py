@@ -67,30 +67,27 @@ def axes_grid(axes) -> np.ndarray:
 class RegressorLaw:
     name: str
     d_x: int
-    b3: float                          # sup of the density of X
     sample: Callable[[np.random.Generator, int], np.ndarray]
 
 
 def uniform_law(d_x: int) -> RegressorLaw:
-    """X uniform on the unit cube; density bounded by B3 = 1."""
+    """X uniform on the unit cube."""
 
     def sample(rng, n):
         return rng.random((n, d_x))
 
-    return RegressorLaw("uniform", d_x, 1.0, sample)
+    return RegressorLaw("uniform", d_x, sample)
 
 
 def truncnorm_law(d_x: int, radius: float = 2.0) -> RegressorLaw:
     """Standard normal truncated to [-radius, radius] per coordinate."""
-    z = 2.0 * ndtr(radius) - 1.0
-    peak = (1.0 / math.sqrt(2.0 * math.pi)) / z
 
     def sample(rng, n):
         u = rng.random((n, d_x))
         lo = ndtr(-radius)
         return ndtri(lo + u * (1.0 - 2.0 * lo))
 
-    return RegressorLaw("truncnorm", d_x, peak**d_x, sample)
+    return RegressorLaw("truncnorm", d_x, sample)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Two-point route: null g0 = 0 against a bump-kernel perturbation g1 built
 from two centers, with the Gaussian KL divergence between the induced data
 laws available in closed form through the error covariance I + T T^T (T the
-dyad-to-unit selection matrix). Fano route: a packing of bump perturbations
-on a regular center grid with disjoint supports.
+dyad-to-unit selection matrix, applied only as matvecs). Fano route: a packing
+of bump perturbations on a regular center grid with disjoint supports. Every
+hypothesis of both is additive in unit effects, g_k(x1, x2) = b_k(x1) + b_k(x2),
+and `MinimaxConstruction.unit_effects` is the one definition of b_k.
 
 Quadratic forms through (I + T T^T)^{-1} are evaluated through the N x N
 core (I + T^T T) so nothing of size N(N-1) is ever factorized.
@@ -12,9 +14,9 @@ core (I + T^T T) so nothing of size N(N-1) is ever factorized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -31,7 +33,6 @@ __all__ = [
     "FanoReport",
     "HolderReport",
     "build_selection",
-    "omega",
     "kl_quadratic_form",
     "woodbury_sides",
     "woodbury_gap",
@@ -46,38 +47,16 @@ __all__ = [
     "holder_floor",
 ]
 
-_OMEGA_DENSE_LIMIT = 40  # beyond this, materializing I + T T^T is refused
-
 
 @dataclass(frozen=True)
 class SelectionMatrices:
-    """Dyad-to-unit selection: row p of t_script marks the two units of the
-    p-th unordered pair (lexicographic); t_big stacks two copies (both
-    directions of each dyad load the same unit effects)."""
+    """Dyad-to-unit selection T, as matvecs: the p-th unordered pair
+    (lexicographic) loads units pair_i[p] and pair_j[p], and T stacks two
+    copies (both directions of each dyad load the same unit effects)."""
 
     n_units: int
     pair_i: np.ndarray
     pair_j: np.ndarray
-
-    @cached_property
-    def t1(self) -> np.ndarray:
-        m = np.zeros((len(self.pair_i), self.n_units))
-        m[np.arange(len(self.pair_i)), self.pair_i] = 1.0
-        return m
-
-    @cached_property
-    def t2(self) -> np.ndarray:
-        m = np.zeros((len(self.pair_j), self.n_units))
-        m[np.arange(len(self.pair_j)), self.pair_j] = 1.0
-        return m
-
-    @cached_property
-    def t_script(self) -> np.ndarray:
-        return self.t1 + self.t2
-
-    @cached_property
-    def t_big(self) -> np.ndarray:
-        return np.vstack([self.t_script, self.t_script])
 
     def t_matvec(self, x: np.ndarray) -> np.ndarray:
         tx = x[self.pair_i] + x[self.pair_j]
@@ -102,17 +81,6 @@ def build_selection(n_units: int) -> SelectionMatrices:
 def _core_matrix(n: int) -> np.ndarray:
     # I_N + T^T T = (2N - 3) I + 2 J
     return (2 * n - 3) * np.eye(n) + 2.0 * np.ones((n, n))
-
-
-def omega(sel: SelectionMatrices) -> np.ndarray:
-    """Error covariance I + T T^T, materialized (small N only)."""
-    if sel.n_units > _OMEGA_DENSE_LIMIT:
-        raise ValueError(
-            f"refusing to materialize the N(N-1) x N(N-1) covariance for N={sel.n_units}; "
-            "use kl_quadratic_form / woodbury_sides instead"
-        )
-    t = sel.t_big
-    return np.eye(t.shape[0]) + t @ t.T
 
 
 def kl_quadratic_form(k_vec: np.ndarray, n_units: int) -> np.ndarray:
@@ -168,7 +136,12 @@ def woodbury_gap(sel: SelectionMatrices, k_vec) -> float:
 @dataclass(frozen=True)
 class MinimaxConstruction:
     """One construction for every N: the quantities that depend on N (h_N,
-    psi_N, the packing, the hypotheses) take it as an argument."""
+    psi_N, the packing, the hypotheses) take it as an argument.
+
+    Alternative k carries the unit effects b_k(x) = L h_N^beta s sum_c
+    K((x - c) / h_N) over its centres c, with s = 1/2 for the two-point
+    pair (one alternative, two centres) and s = 1 for the packing (one
+    alternative per grid centre)."""
 
     variant: str                 # "two-point" or "fano"
     beta: float
@@ -182,19 +155,20 @@ class MinimaxConstruction:
         if self.variant not in ("two-point", "fano"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
-    def h_n(self, n_units: int) -> float:
+    @property
+    def share(self) -> float:
+        return 0.5 if self.variant == "two-point" else 1.0
+
+    def _rate_n(self, n_units: int) -> float:
+        """The sample-size axis of h_N and psi_N: N, or N / ln N for the packing."""
         n = float(n_units)
-        expo = 1.0 / (2.0 * self.beta + self.d_x)
-        if self.variant == "two-point":
-            return self.c0 * n**-expo
-        return self.c0 * (n / math.log(n)) ** -expo
+        return n if self.variant == "two-point" else n / math.log(n)
+
+    def h_n(self, n_units: int) -> float:
+        return self.c0 * self._rate_n(n_units) ** (-1.0 / (2.0 * self.beta + self.d_x))
 
     def psi_n(self, n_units: int) -> float:
-        n = float(n_units)
-        expo = self.beta / (2.0 * self.beta + self.d_x)
-        if self.variant == "two-point":
-            return n**-expo
-        return (n / math.log(n)) ** -expo
+        return self._rate_n(n_units) ** (-self.beta / (2.0 * self.beta + self.d_x))
 
     def m_n(self, n_units: int) -> int:
         # floor keeps center spacing 1/m >= h, hence disjoint supports
@@ -211,6 +185,28 @@ class MinimaxConstruction:
             )
         axes = [(np.arange(1, m + 1) - 0.5) / m] * self.d_x
         return axes_grid(axes)
+
+    def hypothesis_centers(self, n_units: int) -> np.ndarray:
+        """(H, C, d_x): the C centres of each of the H alternatives at N."""
+        if self.variant == "two-point":
+            return np.stack(self.centers)[None]
+        return self.fano_centers(n_units)[:, None]
+
+    def bumps(self, x: np.ndarray, centers: np.ndarray, n_units: int) -> np.ndarray:
+        """K((x - c) / h_N) for every centre c: shape centers.shape[:-1] + x.shape[:-1]."""
+        c = centers.reshape(centers.shape[:-1] + (1,) * (x.ndim - 1) + (self.d_x,))
+        return eval_kernel(self.kernel, (x - c) / self.h_n(n_units))
+
+    def unit_effects(self, x: np.ndarray, n_units: int) -> np.ndarray:
+        """b_k(x) for every alternative k at points x (..., d_x): shape (H,) + x.shape[:-1]."""
+        bumps = self.bumps(x, self.hypothesis_centers(n_units), n_units)
+        return self._scaled_sum(bumps.swapaxes(0, 1), n_units)
+
+    def _scaled_sum(self, bumps, n_units: int) -> np.ndarray:
+        """L h_N^beta s (bumps[0] + bumps[1] + ...), summed left to right
+        (np.sum may pair the terms differently) and scaled once."""
+        amplitude = self.l_const * self.h_n(n_units) ** self.beta * self.share
+        return amplitude * functools.reduce(np.add, bumps)
 
     @property
     def k_at_zero(self) -> float:
@@ -244,43 +240,24 @@ def make_fano(beta: float, l_const: float, c0: float, d_x: int) -> MinimaxConstr
                                kernel=_bump_kernel(beta, l_const, c0, d_x))
 
 
-def hypothesis_g(con: MinimaxConstruction, which, w, n_units: int):
-    """Evaluate hypothesis `which` at w = (x1, x2); which = 0 is the null.
-
-    For the fano variant `which` is a 1-based flat index into the center grid
-    (or a multi-index tuple)."""
+def hypothesis_g(con: MinimaxConstruction, k: int, w, n_units: int):
+    """g_k(x1, x2) = b_k(x1) + b_k(x2) at w = (x1, x2) of shape (..., 2 d_x),
+    over any leading axes; k = 0 is the null, and for fano k is a 1-based flat
+    index into the packing."""
     w = np.asarray(w, dtype=float)
-    single = w.ndim == 1
-    w2 = np.atleast_2d(w)
     d = con.d_x
-    if w2.shape[-1] != 2 * d:
+    if w.ndim == 0 or w.shape[-1] != 2 * d:
         raise ValueError(f"w must have length {2 * d}")
-    x1, x2 = w2[:, :d], w2[:, d:]
-    h = con.h_n(n_units)
-    if isinstance(which, tuple):
-        m = con.m_n(n_units)
-        which = 1 + int(np.ravel_multi_index(tuple(np.asarray(which) - 1), (m,) * d))
-    if which == 0:
-        vals = np.zeros(w2.shape[0])
-    elif con.variant == "two-point":
-        if which != 1:
-            raise ValueError("two-point variant has hypotheses 0 and 1")
-        c1, c2 = con.centers
-        vals = (con.l_const * h**con.beta / 2.0) * (
-            eval_kernel(con.kernel, (x1 - c1) / h)
-            + eval_kernel(con.kernel, (x1 - c2) / h)
-            + eval_kernel(con.kernel, (x2 - c1) / h)
-            + eval_kernel(con.kernel, (x2 - c2) / h)
-        )
+    if k == 0:
+        vals = np.zeros(w.shape[:-1])
     else:
-        centers = con.fano_centers(n_units)
-        if not 1 <= which <= len(centers):
-            raise ValueError(f"fano hypothesis index must be in 1..{len(centers)}")
-        ck = centers[which - 1]
-        vals = (con.l_const * h**con.beta) * (
-            eval_kernel(con.kernel, (x1 - ck) / h) + eval_kernel(con.kernel, (x2 - ck) / h)
-        )
-    return float(vals[0]) if single else vals
+        centers = con.hypothesis_centers(n_units)
+        if not 1 <= k <= len(centers):
+            raise ValueError(f"{con.variant} hypothesis index must be in 0..{len(centers)}")
+        # x1's bumps, then x2's, in one sum
+        bumps = [con.bumps(x, centers[k - 1], n_units) for x in (w[..., :d], w[..., d:])]
+        vals = con._scaled_sum(np.concatenate(bumps), n_units)
+    return float(vals) if w.ndim == 1 else vals
 
 
 @dataclass(frozen=True)
@@ -298,12 +275,8 @@ def separation_check(con: MinimaxConstruction, k, l, grid, n_units: int) -> Sepa
     gk = hypothesis_g(con, k, grid, n_units)
     gl = hypothesis_g(con, l, grid, n_units)
     gap = float(np.max(np.abs(gk - gl)))
-    k0 = con.k_at_zero
     psi = con.psi_n(n_units)
-    if con.variant == "two-point":
-        a_const = con.l_const * k0 * con.c0**con.beta / 2.0
-    else:
-        a_const = con.l_const * k0 * con.c0**con.beta
+    a_const = con.l_const * con.k_at_zero * con.c0**con.beta * con.share
     required = 2.0 * a_const * psi if k != l else 0.0
     passed = gap >= required * (1.0 - 1e-12)
     return SeparationResult(gap=gap, required=required, passed=passed,
@@ -322,11 +295,12 @@ class KlReport:
     n_h_dx: float
 
 
-def _kl_monte_carlo(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: int,
-                    role: int, unit_effects) -> tuple[float, float, float, float]:
+def _kl_monte_carlo(con: MinimaxConstruction, n_units: int, mc_reps: int,
+                    seed: int) -> tuple[float, float, float, float]:
     """Mean and standard error over `mc_reps` uniform regressor draws x of the
-    mean over the rows K of unit_effects(x, h_N) of KL = (TK)^T Omega^{-1} (TK) / 2;
-    returns (h_N, N h_N^d_x, mean, se). Each caller owns a stream role."""
+    mean over the alternatives k of KL = (T b_k)^T Omega^{-1} (T b_k) / 2 with
+    b_k = con.unit_effects(x, N); returns (h_N, N h_N^d_x, mean, se). The draws
+    use stream role 10 for the two-point pair and 11 for the packing."""
     h = con.h_n(n_units)
     n_h = n_units * h**con.d_x
     if n_h < 1.0:
@@ -334,28 +308,22 @@ def _kl_monte_carlo(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: 
             f"KL evaluation requires N h_N^d_x >= 1; got {n_h:.4f} at N={n_units}"
         )
     law = uniform_law(con.d_x)
-    rng = _stream(seed, role)
+    rng = _stream(seed, 10 if con.variant == "two-point" else 11)
     kls = np.empty(mc_reps)
     for r in range(mc_reps):
-        kv = unit_effects(law.sample(rng, n_units), h)
+        kv = con.unit_effects(law.sample(rng, n_units), n_units)
         kls[r] = np.mean(0.5 * kl_quadratic_form(kv, n_units))
     return h, n_h, float(np.mean(kls)), float(np.std(kls, ddof=1) / math.sqrt(mc_reps))
 
 
 def kl_two_point(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: int) -> KlReport:
     """MC over regressor draws of KL(P0, P1) = E[ (TK)^T Omega^{-1} (TK) ] / 2,
-    against the closed-form bound L^2 K_max^2 B3 c0^(2 beta + d_x) / 2."""
+    against the closed-form bound L^2 K_max^2 B3 c0^(2 beta + d_x) / 2, where
+    B3 = 1 bounds the uniform regressor density."""
     if con.variant != "two-point":
         raise ValueError("kl_two_point requires a two-point construction")
-    c1, c2 = con.centers
-
-    def unit_effects(x, h):
-        return con.l_const * h**con.beta / 2.0 * (
-            eval_kernel(con.kernel, (x - c1) / h) + eval_kernel(con.kernel, (x - c2) / h))
-
-    _, n_h, mean, se = _kl_monte_carlo(con, n_units, mc_reps, seed, 10, unit_effects)
-    b3 = uniform_law(con.d_x).b3
-    bound = 0.5 * con.l_const**2 * con.k_at_zero**2 * b3 * con.c0 ** (2 * con.beta + con.d_x)
+    _, n_h, mean, se = _kl_monte_carlo(con, n_units, mc_reps, seed)
+    bound = 0.5 * con.l_const**2 * con.k_at_zero**2 * con.c0 ** (2 * con.beta + con.d_x)
     return KlReport(kl_mean=mean, kl_se=se, bound=bound, n_h_dx=n_h)
 
 
@@ -376,14 +344,8 @@ def fano_kl_average(con: MinimaxConstruction, n_units: int, mc_reps: int, seed: 
     bound (N/M) L^2 h^(2 beta) K_max^2 / 2 and the ln M_N arithmetic check."""
     if con.variant != "fano":
         raise ValueError("fano_kl_average requires a fano construction")
-    centers = con.fano_centers(n_units)  # raises PackingDegenerate when M < 2
-    m_total = len(centers)
-
-    def unit_effects(x, h):  # one row per center: (M, N)
-        diffs = (x[None, :, :] - centers[:, None, :]) / h
-        return con.l_const * h**con.beta * eval_kernel(con.kernel, diffs)
-
-    h, _, avg, se = _kl_monte_carlo(con, n_units, mc_reps, seed, 11, unit_effects)
+    m_total = len(con.fano_centers(n_units))  # raises PackingDegenerate when M < 2
+    h, _, avg, se = _kl_monte_carlo(con, n_units, mc_reps, seed)
     bound = 0.5 * con.l_const**2 * h ** (2 * con.beta) * con.k_at_zero**2 * n_units / m_total
     ln_m = math.log(m_total)
     ln_lower = con.d_x / (2.0 * con.beta + con.d_x + 1.0) * math.log(n_units)

@@ -6,14 +6,16 @@ naive_weights is the exception: it builds the factorized per-unit weights, but
 evaluates the kernel factor at every (unit, grid point) pair, and is the
 bitwise reference for estimator._weights. naive_simulate is the bitwise
 reference for dgp.simulate: one draw of every pair's V at once, scattered into
-an N x N matrix. omega_inverse is the dense small-N inverse of the minimax
-error covariance. naive_save_dataset and naive_load_dataset are the row-wise
+an N x N matrix. selection_t and omega are the dense minimax selection
+matrix T and error covariance I + T T^T, and omega_inverse its dense small-N
+inverse. naive_save_dataset and naive_load_dataset are the row-wise
 dataset writer and loader, one csv.writer or csv.reader row per pair: the
 reference for the bytes dgp.save_dataset writes and for the result or error of
 dgp.load_dataset.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -25,7 +27,6 @@ from dyadreg.dgp import (_ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _sibling_path
                          read_manifest)
 from dyadreg.estimator import BandwidthRule
 from dyadreg.kernels import eval_kernel
-from dyadreg.minimax import omega
 from dyadreg.rates import RateExperiment, run_rate_experiment
 
 
@@ -89,12 +90,29 @@ def naive_weights(data, kernel, h, grid):
     return a, b
 
 
+def selection_t(sel):
+    """Dense N(N-1) x N selection matrix T: row p of each half marks the two
+    units of the p-th unordered pair in lexicographic order (both directions
+    of a dyad load the same unit effects)."""
+    pairs = list(itertools.combinations(range(sel.n_units), 2))
+    t = np.zeros((len(pairs), sel.n_units))
+    for p, (i, j) in enumerate(pairs):
+        t[p, i] = t[p, j] = 1.0
+    return np.vstack([t, t])
+
+
+def omega(sel):
+    """Dense error covariance I + T T^T; small N only."""
+    t = selection_t(sel)
+    return np.eye(t.shape[0]) + t @ t.T
+
+
 def omega_inverse(sel):
     """Dense reference (I + T T^T)^{-1} = I - T (I_N + T^T T)^{-1} T^T, with
     the N x N core (2N - 3) I + 2 J solved densely; small N only, since it
     builds omega(sel) to verify the inverse."""
     om = omega(sel)
-    t = sel.t_big
+    t = selection_t(sel)
     n = sel.n_units
     core = (2 * n - 3) * np.eye(n) + 2.0 * np.ones((n, n))
     inv = np.eye(t.shape[0]) - t @ np.linalg.solve(core, t.T)

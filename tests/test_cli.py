@@ -148,6 +148,9 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
      "--out", "{d}/o.json"],
     _MINIMAX + ["--l", "1e100", "--reps", "10"],
     _MINIMAX + ["--l", "1e150", "--c0", "1e30", "--reps", "10"],
+    _MINIMAX + ["--l", "1e-320", "--reps", "10"],
+    ["minimax", "--variant", "fano", "--c0", "0.5", "--l", "1e-310", "--n", "100", "--reps", "10",
+     "--out", "{d}/o.json"],
 ], ids=["simulate-n-1", "simulate-g-bogus", "diagnose-reps-10", "estimate-bandwidth-negative",
         "estimate-missing-file", "rates-d_x-1.5", "rates-n_list-2", "minimax-n-1", "minimax-reps-1",
         "simulate-d-x-0", "diagnose-d-x-0",
@@ -162,7 +165,8 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
         "simulate-seed-negative", "diagnose-seed-negative", "minimax-seed-negative",
         "rates-seed-negative", "estimate-bandwidth-overflow", "diagnose-bandwidth-overflow",
         "rates-c0-overflow", "rates-dgp-l", "minimax-c0-overflow", "minimax-l-overflow",
-        "minimax-fano-l-overflow", "minimax-kl-overflow", "minimax-bound-overflow"])
+        "minimax-fano-l-overflow", "minimax-kl-overflow", "minimax-bound-overflow",
+        "minimax-l-underflow", "minimax-fano-l-underflow"])
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
@@ -304,6 +308,14 @@ def test_minimax_report(tmp_path):
         assert body["holder_pass"]
         assert body["woodbury_max_gap"] <= 1e-8
         assert body["kl_within_bound"]
+
+
+def test_minimax_tiny_l_still_runs(tmp_path):
+    # hypotheses scaled by --l 1e-100 are still normal floats: only an underflowing --l is refused
+    out = str(tmp_path / "mm.json")
+    assert main(["minimax", "--l", "1e-100", "--n", "50", "--reps", "10", "--out", out]) == 0
+    with open(out) as fh:
+        assert json.load(fh)["reports"][0]["separation"]["passed"]
 
 
 def test_minimax_builds_the_kernel_once(tmp_path, monkeypatch):

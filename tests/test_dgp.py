@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, truncnorm
+from scipy.stats import ks_2samp
 
 from conftest import naive_latents, naive_simulate, replace_cell
 from dyadreg import dgp
 from dyadreg.dgp import (DGP_KINDS, DyadicDataset, load_dataset, make_dgp, save_dataset,
-                         simulate, simulate_latents, true_g_on_grid, truncnorm_law, uniform_law)
+                         simulate, simulate_latents, true_g_on_grid, truncnorm_law)
 
 
 def test_zero_regression_n2_reconstructs_from_latents():
@@ -169,16 +169,10 @@ def test_true_g_graphon_without_cond_mean_guides_to_mc():
 
 
 def test_laws():
-    ul = uniform_law(2)
-    assert ul.b3 == 1.0
     tl = truncnorm_law(1)
     rng = np.random.default_rng(0)
     x = tl.sample(rng, 5000)
     assert np.all(np.abs(x) <= 2.0)
-    # b3 is the peak of the truncated normal density, reached at 0
-    assert tl.b3 == pytest.approx(truncnorm(-2.0, 2.0).pdf(0.0), rel=1e-12)
-    assert float(np.max(truncnorm(-2.0, 2.0).pdf(x))) <= tl.b3 + 1e-12
-    assert truncnorm_law(2).b3 == pytest.approx(tl.b3**2, rel=1e-12)
 
 
 def test_roundtrip_persistence_exact(tmp_path):
