@@ -17,8 +17,9 @@ import os
 import sys
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import __version__, dgp
 from .decomposition import variance_dominance
 from .dgp import (DGP_KINDS, _sibling_paths, _stream, atomic_open, axes_grid, load_dataset,
                   make_dgp, read_manifest, save_dataset, simulate)
@@ -44,6 +45,10 @@ def _write_run_manifest(subcommand: str, config: dict, outputs: list[str]):
         "artifact_version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [os.path.abspath(p) for p in outputs],
+        "replicate_threads": dgp._THREADS,
+        "nproc": os.cpu_count(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
     }
     with atomic_open(outputs[0] + ".run.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -6,6 +6,8 @@ Without a graphon h, Y_ij = g(X_i, X_j) + U_i + U_j + V_ij: the model the
 minimax bounds are stated for. Latent draws come from Philox streams keyed by
 (seed, role) so a dataset is bit-identical given (spec, n_units, seed).
 `simulate` adds V into Y in row blocks, the one V stream read in order.
+`replicate` runs the replications of each N on a thread pool; every
+replication has its own seed, so its results do not depend on the pool size.
 
 The pairs CSV is written one row of Y at a time and read about 600 lines at
 a time, with string operations that run in C in place of a csv call per cell.
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import secrets
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,6 +124,18 @@ class DyadicDataset:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.array(self.y, dtype=float, order="C")
+        self._validate()
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, y: np.ndarray) -> "DyadicDataset":
+        """The dataset of float arrays x (N x d_x) and a C-ordered y that no
+        one else holds, taking y itself rather than a copy."""
+        data = cls.__new__(cls)
+        data.x, data.y = x, y
+        data._validate()
+        return data
+
+    def _validate(self):
         n = self.x.shape[0]
         if self.x.ndim != 2 or n < 2:
             raise ValueError("x must be (N, d_x) with N >= 2")
@@ -209,7 +224,7 @@ def _units(spec: DgpSpec, n_units: int, seed: int):
     return x, _stream(seed, _ROLE_U).standard_normal(n_units)
 
 
-_V_BLOCK_ROWS = 64  # with 128, times best of 16 to 256 rows at N = 800 and 1200
+_V_BLOCK_ROWS = 32  # a V block and its masked add take under a quarter of Y from N = 600
 
 
 def _v_blocks(seed: int, n_units: int):
@@ -238,25 +253,32 @@ def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
 
     V is drawn in row blocks and added in place. Without a graphon, Y_ij =
     ((g + U_i) + U_j) + V_ij: the additions of a V matrix, which is never
-    built, in the same order. A graphon gets V added into a zero matrix."""
+    built, in the same order, with g formed one block of rows at a time, and
+    the dataset takes Y without a copy. A graphon gets V added into a zero
+    matrix, and the dataset copies what it returns."""
     x, u = _units(spec, n_units, seed)
-    x1 = x[:, None, :]
     x2 = x[None, :, :]
     if spec.graphon is None:
-        # out= makes Y N x N even where g's result only broadcasts to it
-        y = np.add(spec.g(x1, x2), u[:, None], out=np.empty((n_units, n_units)))
-        y += u[None, :]
+        y = np.empty((n_units, n_units))
+        for r0 in range(0, n_units, _V_BLOCK_ROWS):
+            rows = slice(r0, r0 + _V_BLOCK_ROWS)
+            # out= makes each block rows x N even where g's result only broadcasts to it
+            np.add(spec.g(x[rows, None, :], x2), u[rows, None], out=y[rows])
+            y[rows] += u[None, :]
     else:
         y = np.zeros((n_units, n_units))
-    # vb keeps the block array alive until return. Freeing it before the dataset's
-    # copy of y lets malloc trim the heap: 15x the page faults per draw at N=800.
     for r0, r1, vb in _v_blocks(seed, n_units):
         up = np.arange(n_units) > np.arange(r0, r1)[:, None]
         y[r0:r1][up] += vb[:, 0]
         y.T[r0:r1][up] += vb[:, 1]
-    if spec.graphon is not None:
-        y = spec.graphon(x1, x2, u[:, None], u[None, :], y)
-    return DyadicDataset(x=x, y=y)
+    if spec.graphon is None:
+        # the block array goes before the finiteness scan's N x N temporary comes, so
+        # the peak is Y and one block; this costs no page faults at N=800 and 1200
+        del vb
+        return DyadicDataset._adopt(x, y)
+    # vb keeps the block array alive until return. Freeing it before the dataset's copy
+    # of y lets malloc trim the heap: 15x the page faults per draw at N=800.
+    return DyadicDataset(x=x, y=spec.graphon(x[:, None, :], x2, u[:, None], u[None, :], y))
 
 
 def replication_seed(seed: int, idx: int, rep: int) -> int:
@@ -264,21 +286,33 @@ def replication_seed(seed: int, idx: int, rep: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, idx, rep)).generate_state(1)[0])
 
 
+# threads of a replicate pool, at most one per replication: the CPUs this process may use
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic):
     """Monte Carlo loop: for each N in n_list yields (N, [statistic(data, h)
-    for each of `reps` datasets]) with h = bandwidth(rule, N)."""
+    for each of `reps` datasets]) with h = bandwidth(rule, N).
+
+    The replications run on a pool of threads, one per CPU this process may
+    use, and each list comes back in replication order, so the results do
+    not depend on the pool size. `statistic` (and a DGP's g or graphon) must
+    be safe to call from several threads at once. If it raises, the first
+    failing replication's exception is re-raised here once the replications
+    already running end; those still queued are cancelled."""
     from .estimator import bandwidth  # estimator imports this module
 
-    for idx, n in enumerate(n_list):
-        h = bandwidth(rule, n)
-        stats = []
-        for rep in range(reps):
-            # `data` keeps the previous dataset alive until the next is drawn. Freeing
-            # it first lets malloc trim the heap and the next draw re-fault it: at
-            # N=800 on 2-core x86-64 Linux, over 100x the page faults and 8-20% slower.
-            data = simulate(spec, n, replication_seed(seed, idx, rep))
-            stats.append(statistic(data, h))
-        yield n, stats
+    def one(n, h, rep_seed):
+        return statistic(simulate(spec, n, rep_seed), h)
+
+    pool = ThreadPoolExecutor(max_workers=max(1, min(_THREADS, reps)), thread_name_prefix="replicate")
+    try:
+        for idx, n in enumerate(n_list):
+            h = bandwidth(rule, n)
+            futures = [pool.submit(one, n, h, replication_seed(seed, idx, rep)) for rep in range(reps)]
+            yield n, [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def true_g_on_grid(spec: DgpSpec, grid, mc_integration: bool = False,

@@ -197,9 +197,13 @@ class MinimaxConstruction:
         c = centers.reshape(centers.shape[:-1] + (1,) * (x.ndim - 1) + (self.d_x,))
         return eval_kernel(self.kernel, (x - c) / self.h_n(n_units))
 
-    def unit_effects(self, x: np.ndarray, n_units: int) -> np.ndarray:
-        """b_k(x) for every alternative k at points x (..., d_x): shape (H,) + x.shape[:-1]."""
-        bumps = self.bumps(x, self.hypothesis_centers(n_units), n_units)
+    def unit_effects(self, x: np.ndarray, n_units: int, centers: np.ndarray | None = None) -> np.ndarray:
+        """b_k(x) for every alternative k at points x (..., d_x): shape (H,) + x.shape[:-1].
+        `centers`, if given, is hypothesis_centers(n_units), built once by a caller that
+        evaluates many x."""
+        if centers is None:
+            centers = self.hypothesis_centers(n_units)
+        bumps = self.bumps(x, centers, n_units)
         return self._scaled_sum(bumps.swapaxes(0, 1), n_units)
 
     def _scaled_sum(self, bumps, n_units: int) -> np.ndarray:
@@ -309,9 +313,10 @@ def _kl_monte_carlo(con: MinimaxConstruction, n_units: int, mc_reps: int,
         )
     law = uniform_law(con.d_x)
     rng = _stream(seed, 10 if con.variant == "two-point" else 11)
+    centers = con.hypothesis_centers(n_units)
     kls = np.empty(mc_reps)
     for r in range(mc_reps):
-        kv = con.unit_effects(law.sample(rng, n_units), n_units)
+        kv = con.unit_effects(law.sample(rng, n_units), n_units, centers)
         kls[r] = np.mean(0.5 * kl_quadratic_form(kv, n_units))
     return h, n_h, float(np.mean(kls)), float(np.std(kls, ddof=1) / math.sqrt(mc_reps))
 

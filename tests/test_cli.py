@@ -4,8 +4,10 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import replace_cell
+from dyadreg import dgp
 from dyadreg.cli import main
 from dyadreg.dgp import load_dataset, make_dgp, simulate
 from dyadreg.estimator import BandwidthRule, bandwidth, nw_estimate
@@ -371,6 +373,30 @@ def test_manifest_flag_writes_run_manifest(tmp_path):
     assert man["seed"] == 4
     assert len(man["config_hash"]) == 64
     assert any(p.endswith("d.csv") for p in man["outputs"])
+    assert man["replicate_threads"] == dgp._THREADS >= 1
+    assert man["nproc"] == os.cpu_count()
+    assert (man["numpy_version"], man["scipy_version"]) == (np.__version__, scipy.__version__)
+    # the run record sits beside the outputs and leaves their bytes as they are
+    assert main(["simulate", "--n", "10", "--seed", "4", "--out", str(tmp_path / "e.csv")]) == 0
+    for ext in (".csv", ".units.csv"):
+        assert (tmp_path / f"d{ext}").read_bytes() == (tmp_path / f"e{ext}").read_bytes()
+
+
+def test_rates_and_diagnose_outputs_do_not_depend_on_replicate_threads(tmp_path, monkeypatch):
+    body = ("dgp.kind = theorem1\ndgp.g = sin_additive\nkernel = epanechnikov\n"
+            "bandwidth.mode = uniform-optimal\nbandwidth.c0 = 0.8\nmode = sup-norm\n"
+            "grid.steps = 5\nn_list = 20,40,80,160\nreps = 50\nseed = 5\n")
+    outputs = []
+    for tag, threads in (("one", 1), ("default", dgp._THREADS), ("three", 3)):
+        monkeypatch.setattr(dgp, "_THREADS", threads)
+        cfg = tmp_path / f"{tag}.cfg"
+        cfg.write_text(body + f"out.prefix = {tmp_path / tag}\n")
+        assert main(["rates", "--config", str(cfg)]) == 0
+        assert main(["diagnose", "--n", "20,60", "--reps", "50", "--w", "0.5,0.5", "--seed", "2",
+                     "--out", str(tmp_path / f"{tag}.dom.csv")]) == 0
+        outputs.append([(tmp_path / f"{tag}{ext}").read_bytes()
+                        for ext in (".csv", ".fit.json", ".plot.dat", ".dom.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_version_flag():

@@ -1,4 +1,7 @@
 import math
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ from scipy.stats import ks_2samp
 
 from conftest import naive_latents, naive_simulate, replace_cell
 from dyadreg import dgp
-from dyadreg.dgp import (DGP_KINDS, DyadicDataset, load_dataset, make_dgp, save_dataset,
-                         simulate, simulate_latents, true_g_on_grid, truncnorm_law)
+from dyadreg.dgp import (DGP_KINDS, DgpSpec, DyadicDataset, load_dataset, make_dgp, replicate,
+                         replication_seed, save_dataset, simulate, simulate_latents, true_g_on_grid,
+                         truncnorm_law, uniform_law)
+from dyadreg.estimator import BandwidthRule
 
 
 def test_zero_regression_n2_reconstructs_from_latents():
@@ -58,7 +63,8 @@ def test_seed_determinism_bit_identical():
 
 
 _B = dgp._V_BLOCK_ROWS
-_ORACLE_SIZES = (2, 3, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 300)
+# 65 and 129 straddle 64-row blocks, whatever _B is
+_ORACLE_SIZES = tuple(sorted({2, 3, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 65, 129, 300}))
 
 
 @pytest.mark.parametrize("law", ["uniform", "truncnorm"])
@@ -94,6 +100,100 @@ def test_diagonal_is_structurally_absent():
     data = simulate(make_dgp("theorem1", "zero"), 5, 1)
     assert np.all(np.diag(data.y) == 0.0)
     assert np.all(np.isfinite(data.y_filled()))
+
+
+def test_simulate_peak_memory_is_one_outcome_matrix_and_blocks():
+    spec = make_dgp("theorem1", "sin_additive")
+    n = 600
+    simulate(spec, n, 1)
+    tracemalloc.start()
+    try:
+        simulate(spec, n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * n * n
+
+
+def test_dataset_never_aliases_a_callers_or_a_dgps_array():
+    x, y = np.random.default_rng(0).random((4, 1)), np.random.default_rng(1).random((4, 4))
+    data = DyadicDataset(x, y)
+    before = data.y.copy()
+    y[0, 1] = 99.0
+    assert np.array_equal(data.y, before) and not np.shares_memory(data.y, y)
+    held = {}
+
+    def graphon(x1, x2, u1, u2, v):
+        held["graphon"] = out = v + 1.0
+        return out
+
+    def g(x1, x2):
+        held["g"] = out = np.zeros(np.broadcast(x1[..., 0], x2[..., 0]).shape)
+        return out
+
+    for spec in (DgpSpec("held", uniform_law(1), 2.0, None, graphon), DgpSpec("held", uniform_law(1), 2.0, g)):
+        data = simulate(spec, 5, 0)
+        kept = data.y.copy()
+        for array in held.values():
+            assert not np.shares_memory(data.y, array)
+            array += 1.0
+        assert np.array_equal(data.y, kept)
+        held.clear()
+
+
+def test_replicate_results_do_not_depend_on_the_pool_size(monkeypatch):
+    spec = make_dgp("theorem1", "sin_additive", d_x=2)
+    rule = BandwidthRule("fixed", 0.3)
+
+    def statistic(data, h):
+        return data.x.tobytes() + data.y.tobytes(), h
+
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 8):
+            monkeypatch.setattr(dgp, "_THREADS", threads)
+            runs.append(list(replicate(spec, rule, (3, 40, 70), 30, 9, statistic)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+    assert [n for n, _ in runs[0]] == [3, 40, 70] and all(len(stats) == 30 for _, stats in runs[0])
+    data = simulate(spec, 40, replication_seed(9, 1, 5))
+    assert runs[1][1][1][5] == (data.x.tobytes() + data.y.tobytes(), 0.3)
+
+
+def test_replicate_reraises_a_failing_statistic_and_cancels_the_rest(monkeypatch):
+    monkeypatch.setattr(dgp, "_THREADS", 4)
+    spec = make_dgp("theorem1", "sin_additive")
+    first = simulate(spec, 20, replication_seed(5, 0, 0)).x
+    failure = RuntimeError("statistic failed")
+    calls = []
+
+    def statistic(data, h):
+        calls.append(h)
+        if np.array_equal(data.x, first):
+            raise failure
+        time.sleep(0.005)  # the others take long enough that cancelling them shows
+
+    with pytest.raises(RuntimeError) as info:
+        list(replicate(spec, BandwidthRule("fixed", 0.3), (20,), 200, 5, statistic))
+    assert info.value is failure
+    assert len(calls) <= 8
+
+
+def test_replicate_reraises_the_first_failing_replications_exception(monkeypatch):
+    monkeypatch.setattr(dgp, "_THREADS", 4)
+    spec = make_dgp("theorem1", "sin_additive")
+    failing = {simulate(spec, 20, replication_seed(5, 0, rep)).x.tobytes(): rep for rep in (3, 7)}
+
+    def statistic(data, h):
+        rep = failing.get(data.x.tobytes())
+        if rep is not None:
+            raise ValueError(f"rep {rep}")
+
+    with pytest.raises(ValueError, match="rep 3"):
+        list(replicate(spec, BandwidthRule("fixed", 0.3), (20,), 50, 5, statistic))
 
 
 def test_dataset_validation():
