@@ -38,6 +38,7 @@ __all__ = ["main"]
 def _write_run_manifest(subcommand: str, config: dict, outputs: list[str]):
     if not outputs:
         return
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "subcommand": subcommand,
         "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
@@ -49,6 +50,10 @@ def _write_run_manifest(subcommand: str, config: dict, outputs: list[str]):
         "nproc": os.cpu_count(),
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_thread_env": {key: os.environ.get(key)
+                            for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     with atomic_open(outputs[0] + ".run.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -5,7 +5,7 @@ with U, V standard normal. Every DGP's g(x1, x2) is E[Y_ij | X_i = x1, X_j = x2]
 Without a graphon h, Y_ij = g(X_i, X_j) + U_i + U_j + V_ij: the model the
 minimax bounds are stated for. Latent draws come from Philox streams keyed by
 (seed, role) so a dataset is bit-identical given (spec, n_units, seed).
-`simulate` adds V into Y in row blocks, the one V stream read in order.
+`simulate` scatters V into Y in row blocks, the one V stream read in order.
 `replicate` runs the replications of each N on a thread pool; every
 replication has its own seed, so its results do not depend on the pool size.
 
@@ -251,34 +251,37 @@ def simulate_latents(spec: DgpSpec, n_units: int, seed: int):
 def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     """Draw a dyadic dataset; deterministic in (spec, n_units, seed).
 
-    V is drawn in row blocks and added in place. Without a graphon, Y_ij =
-    ((g + U_i) + U_j) + V_ij: the additions of a V matrix, which is never
-    built, in the same order, with g formed one block of rows at a time, and
-    the dataset takes Y without a copy. A graphon gets V added into a zero
-    matrix, and the dataset copies what it returns."""
+    V is drawn in row blocks and scattered into a zero matrix, the one V
+    stream read in order. A graphon gets that matrix, and the dataset copies
+    what it returns. Without one, Y_ij = ((g + U_i) + U_j) + V_ij: g + U_i + U_j
+    is formed one block of rows at a time and added into V, which is the same
+    sum bit for bit since IEEE addition commutes, and the dataset takes Y
+    without a copy."""
     x, u = _units(spec, n_units, seed)
     x2 = x[None, :, :]
-    if spec.graphon is None:
-        y = np.empty((n_units, n_units))
-        for r0 in range(0, n_units, _V_BLOCK_ROWS):
-            rows = slice(r0, r0 + _V_BLOCK_ROWS)
-            # out= makes each block rows x N even where g's result only broadcasts to it
-            np.add(spec.g(x[rows, None, :], x2), u[rows, None], out=y[rows])
-            y[rows] += u[None, :]
-    else:
-        y = np.zeros((n_units, n_units))
+    y = np.zeros((n_units, n_units))
     for r0, r1, vb in _v_blocks(seed, n_units):
         up = np.arange(n_units) > np.arange(r0, r1)[:, None]
-        y[r0:r1][up] += vb[:, 0]
-        y.T[r0:r1][up] += vb[:, 1]
-    if spec.graphon is None:
-        # the block array goes before the finiteness scan's N x N temporary comes, so
-        # the peak is Y and one block; this costs no page faults at N=800 and 1200
-        del vb
-        return DyadicDataset._adopt(x, y)
-    # vb keeps the block array alive until return. Freeing it before the dataset's copy
-    # of y lets malloc trim the heap: 15x the page faults per draw at N=800.
-    return DyadicDataset(x=x, y=spec.graphon(x[:, None, :], x2, u[:, None], u[None, :], y))
+        y[r0:r1][up] = vb[:, 0]
+        y.T[r0:r1][up] = vb[:, 1]
+    if spec.graphon is not None:
+        # vb keeps the block array alive until return. Freeing it before the dataset's copy
+        # of y lets malloc trim the heap: 15x the page faults per draw at N=800.
+        return DyadicDataset(x=x, y=spec.graphon(x[:, None, :], x2, u[:, None], u[None, :], y))
+    # the V block array goes before the row blocks of g come, and the row block before
+    # the finiteness scan's N x N temporary, so the peak is Y and one block; this costs
+    # no page faults at N=800 and 1200
+    del vb
+    block = np.empty((min(_V_BLOCK_ROWS, n_units), n_units))
+    for r0 in range(0, n_units, _V_BLOCK_ROWS):
+        r1 = min(r0 + _V_BLOCK_ROWS, n_units)
+        gu = block[:r1 - r0]
+        # out= makes each block rows x N even where g's result only broadcasts to it
+        np.add(spec.g(x[r0:r1, None, :], x2), u[r0:r1, None], out=gu)
+        gu += u[None, :]
+        y[r0:r1] += gu
+    del block, gu
+    return DyadicDataset._adopt(x, y)
 
 
 def replication_seed(seed: int, idx: int, rep: int) -> int:

@@ -15,11 +15,20 @@ halves w2 take G2, the sums are read off the G1 x G2 matrix a^T (Y b) of the
 distinct halves when that costs fewer flops, N^2 G2 + N G1 G2 against N^2 G +
 N G for a column pair per point: a product grid contracts over sqrt(G)
 columns. One point and scattered lists keep a column pair per point.
+
+A study evaluates every replication on one fixed grid, so the split of a grid
+into its distinct halves, each point's position (p, q) among them and the
+distinct coordinate values of the halves are planned once per distinct grid:
+a small cache keyed on the grid's bytes hands back read-only arrays, and a
+replication only evaluates kernel factors, forms a^T (Y b) and the density
+matrix, and gathers the grid from them. A one-point grid skips the cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +41,6 @@ __all__ = [
     "NwResult",
     "bandwidth",
     "kernel_scale",
-    "psi_hat",
-    "f_hat_w",
     "nw_estimate",
 ]
 
@@ -86,12 +93,14 @@ def kernel_scale(h: float, dim: int) -> float:
 # kernel pair averages
 
 
-def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, points) -> np.ndarray:
+def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, points, codes=None) -> np.ndarray:
     """Per-unit weights (N, M) at M points of R^d_x, one half of a grid point:
     W[i, m] = prod_c k((x_ic - p_mc)/h). k runs once per distinct value of a
     coordinate; np.take gathers it into C-ordered columns, so sums over them
-    match those over weights built point by point. Every pair sum builds its
-    weights here, so here the kernel dimension, bandwidth and shape are checked."""
+    match those over weights built point by point. codes, if given, are the
+    _coordinate_codes of points, as a grid's plan holds them. Every pair sum
+    builds its weights here, so here the kernel dimension, bandwidth and shape
+    are checked."""
     if kernel.dim != 2 * data.d_x:
         raise ValueError(f"kernel dim {kernel.dim} != 2 d_x = {2 * data.d_x}")
     if not (math.isfinite(h) and h > 0):
@@ -99,8 +108,10 @@ def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, points) -> np.nd
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != data.d_x:
         raise ValueError(f"grid points must have length {kernel.dim}")
+    if codes is None:
+        codes = _coordinate_codes(points)
     def factor(c):
-        values, inverse = np.unique(points[:, c], return_inverse=True)
+        values, inverse = codes[c]
         return np.take(kernel.factor.fn((data.x[:, c, None] - values) / h), inverse, axis=1)
     weights = factor(0)
     for c in range(1, data.d_x):
@@ -108,13 +119,17 @@ def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, points) -> np.nd
     return weights
 
 
+def _coordinate_codes(points: np.ndarray) -> tuple:
+    """Per column of points (M, d): its distinct values and, per point, the
+    position of its value among them."""
+    return tuple(np.unique(col, return_inverse=True) for col in points.T)
+
+
 def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, index): the distinct rows of points and, per row of points, the
     position of its row in rows. Rows are told apart by combining per-column
     codes, recompressed after each column so the codes stay below len(points).
     Trailing dimensions are kept, so _weights rejects a malformed shape."""
-    if len(points) < 2:  # one-point calls are the hot path of pointwise studies
-        return points, np.zeros(len(points), dtype=np.intp)
     code = np.zeros(len(points), dtype=np.intp)
     for col in points.reshape(len(points), math.prod(points.shape[1:])).T:
         values, inverse = np.unique(col, return_inverse=True)
@@ -122,6 +137,35 @@ def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.empty((code.max(initial=-1) + 1,) + points.shape[1:])
     rows[code] = points
     return rows, code
+
+
+@functools.lru_cache(maxsize=8)
+def _planned_halves(key: bytes, shape: tuple, d: int) -> tuple[tuple, tuple]:
+    """The plan of the grid whose float64 bytes are key: per half, its distinct
+    rows, each point's position among them and the rows' _coordinate_codes.
+    Read-only, because every caller with an equal grid shares the arrays."""
+    grid = np.frombuffer(key).reshape(shape)
+    plan = []
+    for half in (grid[:, :d], grid[:, d:]):
+        rows, index = _distinct_rows(half)
+        codes = _coordinate_codes(rows)
+        for array in (rows, index, *(a for pair in codes for a in pair)):
+            array.flags.writeable = False
+        plan.append((rows, index, codes))
+    return tuple(plan)
+
+
+_PLAN_LOCK = threading.Lock()  # replicate's threads build a grid's plan once, not once each
+
+
+def _grid_halves(grid: np.ndarray, d: int) -> tuple[tuple, tuple]:
+    """((u, p, u_codes), (v, q, v_codes)) of a float grid: its plan, from the
+    cache unless the grid has one point."""
+    if len(grid) < 2:  # one-point calls are the hot path of pointwise studies
+        index = np.zeros(len(grid), dtype=np.intp)
+        return (grid[:, :d], index, None), (grid[:, d:], index, None)
+    with _PLAN_LOCK:
+        return _planned_halves(grid.tobytes(), grid.shape, d)
 
 
 def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
@@ -137,10 +181,9 @@ def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
     of weights built point by point."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     d, n = data.d_x, data.n_units
-    u, p = _distinct_rows(grid[:, :d])
-    v, q = _distinct_rows(grid[:, d:])
+    (u, p, u_codes), (v, q, v_codes) = _grid_halves(grid, d)
     if len(v) * (n + len(u)) < len(grid) * (n + 1):
-        a, b = _weights(data, kernel, h, u), _weights(data, kernel, h, v)
+        a, b = _weights(data, kernel, h, u, u_codes), _weights(data, kernel, h, v, v_codes)
         psi = (a.T @ (y @ b))[p, q]
         f = (np.outer(a.sum(axis=0), b.sum(axis=0)) - a.T @ b)[p, q]
     else:
@@ -149,16 +192,6 @@ def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
         f = a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
     return psi * scale, f * scale
-
-
-def psi_hat(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
-    """Kernel-weighted outcome average over ordered pairs."""
-    return float(_pair_sums(data, kernel, h, [w], data.y)[0][0])
-
-
-def f_hat_w(data: DyadicDataset, kernel: KernelSpec, h: float, w) -> float:
-    """Kernel density estimate of f_W at w (outcome-free pair average)."""
-    return float(_pair_sums(data, kernel, h, [w], data.y)[1][0])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ These deliberately loop over ordered pairs and call eval_kernel point by
 point, so they share no code path with the factorized production estimators.
 naive_weights is the exception: it builds the factorized per-unit weights, but
 evaluates the kernel factor at every (unit, grid point) pair, and is the
-bitwise reference for estimator._weights. naive_simulate is the bitwise
+bitwise reference for estimator._weights. psi_hat and f_hat_w are not oracles:
+they read the library's pair-sum contraction at a one-point grid, so they equal
+nw_estimate at that point bit for bit. naive_simulate is the bitwise
 reference for dgp.simulate: one draw of every pair's V at once, scattered into
 an N x N matrix. selection_t and omega are the dense minimax selection
 matrix T and error covariance I + T T^T, and omega_inverse its dense small-N
@@ -25,7 +27,7 @@ import pytest
 
 from dyadreg.dgp import (_ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _sibling_paths, _stream, make_dgp,
                          read_manifest)
-from dyadreg.estimator import BandwidthRule
+from dyadreg.estimator import BandwidthRule, _pair_sums
 from dyadreg.kernels import eval_kernel
 from dyadreg.rates import RateExperiment, run_rate_experiment
 
@@ -118,6 +120,16 @@ def omega_inverse(sel):
     inv = np.eye(t.shape[0]) - t @ np.linalg.solve(core, t.T)
     assert np.max(np.abs(om @ inv - np.eye(t.shape[0]))) < 1e-8
     return inv
+
+
+def psi_hat(data, kernel, h, w):
+    """Kernel-weighted outcome average over ordered pairs, by the library."""
+    return float(_pair_sums(data, kernel, h, [w], data.y)[0][0])
+
+
+def f_hat_w(data, kernel, h, w):
+    """Kernel density estimate of f_W at w, by the library."""
+    return float(_pair_sums(data, kernel, h, [w], data.y)[1][0])
 
 
 def naive_psi_hat(data, kernel, h, w):

@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 
-from conftest import naive_f_hat, naive_nw, naive_psi_hat
+from conftest import f_hat_w, naive_f_hat, naive_nw, naive_psi_hat, psi_hat
 
 from dyadreg.cli import main
 from dyadreg.decomposition import variance_dominance
 from dyadreg.dgp import make_dgp, replicate, simulate
-from dyadreg.estimator import BandwidthRule, bandwidth, f_hat_w, nw_estimate, psi_hat
+from dyadreg.estimator import BandwidthRule, bandwidth, nw_estimate
 from dyadreg.kernels import kernel_moment, make_kernel
 from dyadreg.minimax import (build_selection, fano_kl_average, holder_membership_check,
                              hypothesis_g, kl_two_point, make_fano, make_two_point,

@@ -6,6 +6,7 @@ renaming a traced function or method would crash the traced benchmark."""
 
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -28,3 +29,13 @@ def test_span_target_resolves(mod_name, attr):
         assert callable(vars(getattr(owner, cls_name)).get(meth))
     else:
         assert callable(getattr(owner, attr, None))
+
+
+def test_nw_estimate_keeps_the_arguments_the_tracer_unpacks():
+    """The tracer reads nw_estimate's data and grid as args[0] and args[3],
+    and the per-layer metrics unpack all four positional arguments."""
+    from dyadreg.estimator import nw_estimate
+
+    params = inspect.signature(nw_estimate).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in ("data", "kernel", "h", "grid")]

@@ -363,7 +363,9 @@ def test_diagnose_writes_table(tmp_path):
     assert len(lines) == 3
 
 
-def test_manifest_flag_writes_run_manifest(tmp_path):
+def test_manifest_flag_writes_run_manifest(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     out = str(tmp_path / "d.csv")
     rc = main(["--manifest", "simulate", "--n", "10", "--seed", "4", "--out", out])
     assert rc == 0
@@ -376,6 +378,10 @@ def test_manifest_flag_writes_run_manifest(tmp_path):
     assert man["replicate_threads"] == dgp._THREADS >= 1
     assert man["nproc"] == os.cpu_count()
     assert (man["numpy_version"], man["scipy_version"]) == (np.__version__, scipy.__version__)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (man["blas_name"], man["blas_version"]) == (blas["name"], blas["version"])
+    assert man["blas_thread_env"] == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+                                      "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
     # the run record sits beside the outputs and leaves their bytes as they are
     assert main(["simulate", "--n", "10", "--seed", "4", "--out", str(tmp_path / "e.csv")]) == 0
     for ext in (".csv", ".units.csv"):

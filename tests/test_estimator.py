@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat, naive_weights
+from conftest import f_hat_w, naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat, naive_weights, psi_hat
 
+from dyadreg import estimator
 from dyadreg.decomposition import hoeffding_decompose
 from dyadreg.dgp import DyadicDataset, make_dgp, replication_seed, simulate
-from dyadreg.estimator import (BandwidthRule, bandwidth, _weights, f_hat_w, kernel_scale,
-                               nw_estimate, psi_hat)
+from dyadreg.estimator import BandwidthRule, bandwidth, _weights, kernel_scale, nw_estimate
 from dyadreg.kernels import KERNEL_IDS, make_kernel
 from dyadreg.rates import product_grid
 
@@ -382,3 +382,32 @@ def test_kernel_factor_evaluated_once_per_distinct_coordinate():
     res = nw_estimate(data, counting, 0.5, grid)
     assert sum(evaluated) <= 2 * d_x * n * 7
     assert np.array_equal(res.f_hat, nw_estimate(data, kernel, 0.5, grid).f_hat)
+
+
+def test_a_grid_mutated_in_place_is_planned_again():
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=2), 30, 12)
+    k = make_kernel("epanechnikov", 4)
+    grid = product_grid(0.2, 0.8, 5, 4)
+    before = nw_estimate(data, k, 0.5, grid)
+    grid += 0.05
+    after = nw_estimate(data, k, 0.5, grid)
+    estimator._planned_halves.cache_clear()
+    fresh = nw_estimate(data, k, 0.5, grid.copy())
+    for field in ("g_hat", "f_hat", "defined"):
+        assert getattr(after, field).tobytes() == getattr(fresh, field).tobytes()
+    assert not np.array_equal(after.f_hat, before.f_hat)
+
+
+def test_grid_plan_is_read_only_and_skipped_for_one_point():
+    data = simulate(make_dgp("theorem1", "sin_additive"), 20, 3)
+    k = make_kernel("gaussian", 2)
+    grid = product_grid(0.2, 0.8, 6, 2)
+    nw_estimate(data, k, 0.4, grid)
+    for rows, index, codes in estimator._grid_halves(grid, 1):
+        for array in (rows, index, *(a for pair in codes for a in pair)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    info = estimator._planned_halves.cache_info()
+    nw_estimate(data, k, 0.4, [0.3, 0.6])
+    assert estimator._planned_halves.cache_info() == info

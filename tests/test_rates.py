@@ -1,9 +1,12 @@
 import json
 import math
+import sys
+import time
 import warnings
 
 import pytest
 
+from dyadreg import dgp, estimator
 from dyadreg.dgp import make_dgp
 from dyadreg.estimator import BandwidthRule
 from dyadreg.rates import (RateExperiment, fit_exponent, rate_fit_json, rate_rows_csv,
@@ -142,3 +145,34 @@ def test_sd_is_nan_where_fewer_than_two_replications_are_defined():
         assert math.isnan(row.sd) == (n_defined < 2)
     assert rate_rows_csv(fit).splitlines()[4].split(",")[4] == "nan"
     assert json.loads(rate_fit_json(fit))["rows"][3]["sd"] is None
+
+
+def test_sup_norm_study_plans_its_grid_once_on_any_pool(monkeypatch):
+    """Each half of the grid is decomposed once per study, also when eight
+    threads race for it, and the outputs match those of a one-thread pool."""
+    built = []
+    distinct_rows = estimator._distinct_rows
+
+    def counted(points):
+        built.append(points.tobytes())
+        time.sleep(0.02)  # holds the build open while the other threads ask for the plan
+        return distinct_rows(points)
+
+    monkeypatch.setattr(estimator, "_distinct_rows", counted)
+    exp = RateExperiment(dgp=make_dgp("theorem1", "sin_additive", d_x=2), kernel_id="epanechnikov",
+                         rule=BandwidthRule("uniform-optimal", 0.8, beta=2.0, d_x=2), mode="sup-norm",
+                         n_list=(20, 30, 40, 50), reps=50, seed=8, grid_steps=4)
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (8, 1):
+            monkeypatch.setattr(dgp, "_THREADS", threads)
+            estimator._planned_halves.cache_clear()
+            built.clear()
+            fit = run_rate_experiment(exp)
+            assert len(built) == len(set(built)) == 2
+            outputs.append((rate_rows_csv(fit), rate_fit_json(fit)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1]
