@@ -5,9 +5,14 @@ with U, V standard normal. Every DGP's g(x1, x2) is E[Y_ij | X_i = x1, X_j = x2]
 Without a graphon h, Y_ij = g(X_i, X_j) + U_i + U_j + V_ij: the model the
 minimax bounds are stated for. Latent draws come from Philox streams keyed by
 (seed, role) so a dataset is bit-identical given (spec, n_units, seed).
-`simulate` scatters V into Y in row blocks, the one V stream read in order.
-`replicate` runs the replications of each N on a thread pool; every
-replication has its own seed, so its results do not depend on the pool size.
+`simulate` scatters V into Y in row blocks, the one V stream read in order,
+and `_outcomes` turns V into Y a block of rows at a time. `_pair_blocks`
+draws the same outcomes as blocks of pairs (i, j > i), through the same
+`_outcomes`, so a caller that only sums over pairs holds no N x N matrix:
+variance_dominance feeds them to the one Hoeffding accumulator, which
+hoeffding_decompose feeds with blocks of a dataset's Y. `replicate` runs
+the replications of each N on a thread pool; every replication has its own
+seed, so its results do not depend on the pool size.
 
 The pairs CSV is written one row of Y at a time and read about 600 lines at
 a time, with string operations that run in C in place of a csv call per cell.
@@ -110,6 +115,12 @@ class DgpSpec:
         return self.regressor_law.d_x
 
 
+def _all_finite(y: np.ndarray) -> bool:
+    """Whether every entry of y is finite: a NaN or an infinity carries through
+    min or max, so no temporary of y's size is made."""
+    return bool(np.isfinite(y.min()) and np.isfinite(y.max()))
+
+
 @dataclass
 class DyadicDataset:
     """Regressors x (N x d_x) and directed outcomes y (N x N, zero diagonal).
@@ -142,7 +153,7 @@ class DyadicDataset:
         if self.y.shape != (n, n):
             raise ValueError(f"y must be ({n}, {n}), got {self.y.shape}")
         np.fill_diagonal(self.y, 0.0)
-        if not np.isfinite(self.y).all():
+        if not _all_finite(self.y):
             raise ValueError("off-diagonal outcomes must be finite")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("regressors must be finite")
@@ -227,17 +238,18 @@ def _units(spec: DgpSpec, n_units: int, seed: int):
 _V_BLOCK_ROWS = 32  # a V block and its masked add take under a quarter of Y from N = 600
 
 
-def _v_blocks(seed: int, n_units: int):
+def _v_blocks(seed: int, n_units: int, shared: bool = True):
     """V in consecutive row blocks (r0, r1, vb): vb[p] = (V_ij, V_ji) for the
     pairs (i, j > i) of rows r0 <= i < r1, row by row. One Philox stream read
     in order, so the blocks concatenate to one draw of every pair at once.
-    Every block is drawn into one array: vb holds until the next is drawn."""
+    If shared, every block is drawn into one array: vb holds until the next is
+    drawn. Otherwise each block is a new array, freed once the caller drops it."""
     rng = _stream(seed, _ROLE_V)
-    array = np.empty((min(_V_BLOCK_ROWS, n_units - 1) * (n_units - 1), 2))
+    array = np.empty((min(_V_BLOCK_ROWS, n_units - 1) * (n_units - 1), 2)) if shared else None
     for r0 in range(0, n_units - 1, _V_BLOCK_ROWS):
         r1 = min(r0 + _V_BLOCK_ROWS, n_units - 1)
         n_pairs = (r1 - r0) * (2 * n_units - r0 - r1 - 1) // 2
-        yield r0, r1, rng.standard_normal(out=array[:n_pairs])
+        yield r0, r1, rng.standard_normal(out=array[:n_pairs]) if shared else rng.standard_normal((n_pairs, 2))
 
 
 def simulate_latents(spec: DgpSpec, n_units: int, seed: int):
@@ -248,40 +260,86 @@ def simulate_latents(spec: DgpSpec, n_units: int, seed: int):
     return x, u, np.concatenate([vb.copy() for _, _, vb in _v_blocks(seed, n_units)])
 
 
+def _outcomes(spec: DgpSpec, x1, x2, u1, u2, v: np.ndarray, scratch: np.ndarray):
+    """Turn v, a block of V_ij, into the outcomes Y_ij of its pairs in place,
+    given the latents of i (x1, u1) and of j (x2, u2), which broadcast to v's
+    shape: ((g + U_i) + U_j) + V_ij, or the graphon h(X_i, X_j, U_i, U_j, V_ij).
+    scratch, of v's shape, takes g + U_i + U_j. simulate and _pair_blocks both
+    assemble outcomes here, so they agree bit for bit."""
+    if spec.graphon is not None:
+        v[...] = spec.graphon(x1, x2, u1, u2, v)
+        return
+    # out= makes the block v's shape even where g's result only broadcasts to it
+    np.add(spec.g(x1, x2), u1, out=scratch)
+    scratch += u2
+    v += scratch  # V + (g + U_i + U_j) is the same sum bit for bit, since IEEE addition commutes
+
+
 def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     """Draw a dyadic dataset; deterministic in (spec, n_units, seed).
 
     V is drawn in row blocks and scattered into a zero matrix, the one V
-    stream read in order. A graphon gets that matrix, and the dataset copies
-    what it returns. Without one, Y_ij = ((g + U_i) + U_j) + V_ij: g + U_i + U_j
-    is formed one block of rows at a time and added into V, which is the same
-    sum bit for bit since IEEE addition commutes, and the dataset takes Y
-    without a copy."""
+    stream read in order. _outcomes then turns that matrix into Y one block
+    of rows at a time, and the dataset takes Y without a copy."""
     x, u = _units(spec, n_units, seed)
-    x2 = x[None, :, :]
     y = np.zeros((n_units, n_units))
     for r0, r1, vb in _v_blocks(seed, n_units):
         up = np.arange(n_units) > np.arange(r0, r1)[:, None]
         y[r0:r1][up] = vb[:, 0]
         y.T[r0:r1][up] = vb[:, 1]
-    if spec.graphon is not None:
-        # vb keeps the block array alive until return. Freeing it before the dataset's copy
-        # of y lets malloc trim the heap: 15x the page faults per draw at N=800.
-        return DyadicDataset(x=x, y=spec.graphon(x[:, None, :], x2, u[:, None], u[None, :], y))
-    # the V block array goes before the row blocks of g come, and the row block before
-    # the finiteness scan's N x N temporary, so the peak is Y and one block; this costs
-    # no page faults at N=800 and 1200
+    # the V block array goes before the row blocks of outcomes come, so the peak is Y and
+    # one block
     del vb
     block = np.empty((min(_V_BLOCK_ROWS, n_units), n_units))
     for r0 in range(0, n_units, _V_BLOCK_ROWS):
         r1 = min(r0 + _V_BLOCK_ROWS, n_units)
-        gu = block[:r1 - r0]
-        # out= makes each block rows x N even where g's result only broadcasts to it
-        np.add(spec.g(x[r0:r1, None, :], x2), u[r0:r1, None], out=gu)
-        gu += u[None, :]
-        y[r0:r1] += gu
-    del block, gu
+        _outcomes(spec, x[r0:r1, None, :], x[None, :, :], u[r0:r1, None], u[None, :], y[r0:r1],
+                  block[:r1 - r0])
     return DyadicDataset._adopt(x, y)
+
+
+def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
+    """(x, blocks): the regressors and outcomes of simulate(spec, n_units, seed),
+    bit for bit, with no N x N matrix. blocks yields (r0, r1, r0, up, low) in
+    the _v_blocks walk: up[i - r0, k] = Y_ij and low[i - r0, k] = Y_ji for
+    j = r0 + k > i, and zero elsewhere. up and low hold until the next block.
+    Non-finite regressors or outcomes raise ValueError, as simulate's dataset
+    does.
+
+    Beside up and low, each V block is a new array, dropped before _outcomes
+    runs, and _outcomes runs on half a block's rows at a time: g's result and
+    its scratch are then half a block each, so the peak stays near four
+    block-sized arrays (about 0.22 x 8 N^2 bytes at N = 600)."""
+    x, u = _units(spec, n_units, seed)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("regressors must be finite")
+
+    def blocks():
+        rows = min(_V_BLOCK_ROWS, n_units - 1)
+        up_array, low_array = np.empty(rows * n_units), np.empty(rows * n_units)
+        square = np.tri(rows, dtype=bool)  # j <= i in a block's first columns: no pair's place
+        for r0, r1, vb in _v_blocks(seed, n_units, shared=False):
+            m, w = r1 - r0, n_units - r0
+            up, low = up_array[:m * w].reshape(m, w), low_array[:m * w].reshape(m, w)
+            pairs = np.ones((m, w), dtype=bool)  # every column right of the first m is a pair's
+            pairs[:, :m] = ~square[:m, :m]
+            up[:, :m] = low[:, :m] = 0.0
+            up[pairs], low[pairs] = vb[:, 0], vb[:, 1]
+            del vb
+            scratch = np.empty(((m + 1) // 2, w))
+            for p0 in range(0, m, len(scratch)):
+                p1 = min(p0 + len(scratch), m)
+                i, j = slice(r0 + p0, r0 + p1), slice(r0, None)
+                x_i, x_j, u_i, u_j = x[i, None, :], x[None, j, :], u[i, None], u[None, j]
+                _outcomes(spec, x_i, x_j, u_i, u_j, up[p0:p1], scratch[:p1 - p0])
+                _outcomes(spec, x_j, x_i, u_j, u_i, low[p0:p1], scratch[:p1 - p0])
+            del scratch
+            up[:, :m][square[:m, :m]] = low[:, :m][square[:m, :m]] = 0.0
+            if not (_all_finite(up) and _all_finite(low)):
+                raise ValueError("off-diagonal outcomes must be finite")
+            yield r0, r1, r0, up, low
+
+    return x, blocks()
 
 
 def replication_seed(seed: int, idx: int, rep: int) -> int:
@@ -293,20 +351,24 @@ def replication_seed(seed: int, idx: int, rep: int) -> int:
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic):
+def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic, draw=None):
     """Monte Carlo loop: for each N in n_list yields (N, [statistic(data, h)
-    for each of `reps` datasets]) with h = bandwidth(rule, N).
+    for each of `reps` datasets]) with h = bandwidth(rule, N). Each
+    replication's data is draw(spec, N, seed of the replication), by default
+    simulate's dataset.
 
     The replications run on a pool of threads, one per CPU this process may
     use, and each list comes back in replication order, so the results do
-    not depend on the pool size. `statistic` (and a DGP's g or graphon) must
-    be safe to call from several threads at once. If it raises, the first
-    failing replication's exception is re-raised here once the replications
-    already running end; those still queued are cancelled."""
+    not depend on the pool size. `statistic` and `draw` (and a DGP's g or
+    graphon) must be safe to call from several threads at once. If either
+    raises, the first failing replication's exception is re-raised here once
+    the replications already running end; those still queued are cancelled."""
     from .estimator import bandwidth  # estimator imports this module
 
+    draw = simulate if draw is None else draw  # at call time, so a test's or a tracer's swap of simulate holds
+
     def one(n, h, rep_seed):
-        return statistic(simulate(spec, n, rep_seed), h)
+        return statistic(draw(spec, n, rep_seed), h)
 
     pool = ThreadPoolExecutor(max_workers=max(1, min(_THREADS, reps)), thread_name_prefix="replicate")
     try:

@@ -93,28 +93,29 @@ def kernel_scale(h: float, dim: int) -> float:
 # kernel pair averages
 
 
-def _weights(data: DyadicDataset, kernel: KernelSpec, h: float, points, codes=None) -> np.ndarray:
-    """Per-unit weights (N, M) at M points of R^d_x, one half of a grid point:
-    W[i, m] = prod_c k((x_ic - p_mc)/h). k runs once per distinct value of a
-    coordinate; np.take gathers it into C-ordered columns, so sums over them
-    match those over weights built point by point. codes, if given, are the
+def _weights(x: np.ndarray, kernel: KernelSpec, h: float, points, codes=None) -> np.ndarray:
+    """Per-unit weights (N, M) of regressors x (N, d_x) at M points of R^d_x,
+    one half of a grid point: W[i, m] = prod_c k((x_ic - p_mc)/h). k runs once
+    per distinct value of a coordinate; np.take gathers it into C-ordered
+    columns, so sums over them match those over weights built point by point. codes, if given, are the
     _coordinate_codes of points, as a grid's plan holds them. Every pair sum
     builds its weights here, so here the kernel dimension, bandwidth and shape
     are checked."""
-    if kernel.dim != 2 * data.d_x:
-        raise ValueError(f"kernel dim {kernel.dim} != 2 d_x = {2 * data.d_x}")
+    d_x = x.shape[1]
+    if kernel.dim != 2 * d_x:
+        raise ValueError(f"kernel dim {kernel.dim} != 2 d_x = {2 * d_x}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be finite and positive, got {h}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != data.d_x:
+    if points.ndim != 2 or points.shape[1] != d_x:
         raise ValueError(f"grid points must have length {kernel.dim}")
     if codes is None:
         codes = _coordinate_codes(points)
     def factor(c):
         values, inverse = codes[c]
-        return np.take(kernel.factor.fn((data.x[:, c, None] - values) / h), inverse, axis=1)
+        return np.take(kernel.factor.fn((x[:, c, None] - values) / h), inverse, axis=1)
     weights = factor(0)
-    for c in range(1, data.d_x):
+    for c in range(1, d_x):
         weights *= factor(c)
     return weights
 
@@ -183,11 +184,11 @@ def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
     d, n = data.d_x, data.n_units
     (u, p, u_codes), (v, q, v_codes) = _grid_halves(grid, d)
     if len(v) * (n + len(u)) < len(grid) * (n + 1):
-        a, b = _weights(data, kernel, h, u, u_codes), _weights(data, kernel, h, v, v_codes)
+        a, b = _weights(data.x, kernel, h, u, u_codes), _weights(data.x, kernel, h, v, v_codes)
         psi = (a.T @ (y @ b))[p, q]
         f = (np.outer(a.sum(axis=0), b.sum(axis=0)) - a.T @ b)[p, q]
     else:
-        a, b = _weights(data, kernel, h, grid[:, :d]), _weights(data, kernel, h, grid[:, d:])
+        a, b = _weights(data.x, kernel, h, grid[:, :d]), _weights(data.x, kernel, h, grid[:, d:])
         psi = np.einsum("ng,ng->g", a, y @ b)
         f = a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))

@@ -53,9 +53,9 @@ def naive_pair_average(data, kernel, h, w, use_y=True, tau=None):
 
 
 def naive_hoeffding(data, kernel, h, tau, w):
-    """(statistic, unit_contributions, var1_hat, var2_hat) of the Hoeffding
-    split: Z_ij formed pair by pair, then the row means and the doubly centered
-    residuals Z_ij - R_i - R_j + statistic over unordered pairs."""
+    """(statistic, var1_hat, var2_hat) of the Hoeffding split: Z_ij formed
+    pair by pair, then the row means and the doubly centered residuals
+    Z_ij - R_i - R_j + statistic over unordered pairs."""
     n = data.n_units
     w = np.asarray(w, dtype=float)
 
@@ -76,7 +76,7 @@ def naive_hoeffding(data, kernel, h, tau, w):
     resid_ms = sum((z[i, j] - row_means[i] - row_means[j] + statistic) ** 2
                    for i, j in pairs) / len(pairs)
     var1 = 4.0 / n * max(sum(uc**2) / (n - 1) - resid_ms / (n - 1), 0.0)
-    return statistic, uc, var1, resid_ms / len(pairs)
+    return statistic, var1, resid_ms / len(pairs)
 
 
 def naive_weights(data, kernel, h, grid):

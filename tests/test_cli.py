@@ -400,8 +400,10 @@ def test_rates_and_diagnose_outputs_do_not_depend_on_replicate_threads(tmp_path,
         assert main(["rates", "--config", str(cfg)]) == 0
         assert main(["diagnose", "--n", "20,60", "--reps", "50", "--w", "0.5,0.5", "--seed", "2",
                      "--out", str(tmp_path / f"{tag}.dom.csv")]) == 0
+        assert main(["diagnose", "--dgp", "sigmoid_graphon", "--n", "20,60", "--reps", "50",
+                     "--w", "0.5,0.5", "--seed", "2", "--out", str(tmp_path / f"{tag}.graphon.csv")]) == 0
         outputs.append([(tmp_path / f"{tag}{ext}").read_bytes()
-                        for ext in (".csv", ".fit.json", ".plot.dat", ".dom.csv")])
+                        for ext in (".csv", ".fit.json", ".plot.dat", ".dom.csv", ".graphon.csv")])
     assert outputs[0] == outputs[1] == outputs[2]
 
 

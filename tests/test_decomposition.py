@@ -1,14 +1,15 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from conftest import naive_hoeffding
 
-from dyadreg.dgp import DyadicDataset, make_dgp, simulate
-from dyadreg.decomposition import hoeffding_decompose, variance_dominance
-from dyadreg.estimator import BandwidthRule
+from dyadreg.dgp import DyadicDataset, _pair_blocks, make_dgp, replication_seed, simulate
+from dyadreg.decomposition import _split, hoeffding_decompose, variance_dominance
+from dyadreg.estimator import BandwidthRule, bandwidth
 from dyadreg.kernels import make_kernel
 
 W0 = np.array([0.5, 0.5])
@@ -37,13 +38,6 @@ def test_unit_additive_outcomes_flat_kernel_have_no_degenerate_part():
     parts = hoeffding_decompose(data, k, 50.0, math.inf, W0)
     assert parts.var1_hat > 0.0
     assert parts.var2_hat < 0.1 * parts.var1_hat
-
-
-def test_unit_contributions_center_to_zero():
-    data = simulate(make_dgp("theorem1", "sin_additive"), 10, 22)
-    k = make_kernel("gaussian", 2)
-    parts = hoeffding_decompose(data, k, 0.4, math.inf, W0)
-    assert abs(float(np.sum(parts.unit_contributions))) < 1e-12
 
 
 def test_dominance_ratio_falls_with_n():
@@ -81,9 +75,8 @@ def test_split_matches_pair_loop_oracle(kernel_id, tau, n):
     k = make_kernel(kernel_id, 2)
     w = np.array([0.3, 0.7])     # a != b: the two orientations of a pair get different weights
     parts = hoeffding_decompose(data, k, 0.5, tau, w)
-    statistic, uc, var1, var2 = naive_hoeffding(data, k, 0.5, tau, w)
+    statistic, var1, var2 = naive_hoeffding(data, k, 0.5, tau, w)
     assert parts.statistic == pytest.approx(statistic, rel=1e-12)
-    assert np.max(np.abs(parts.unit_contributions - uc)) <= 1e-12 * np.max(np.abs(uc))
     assert parts.var1_hat == pytest.approx(var1, rel=1e-12)
     assert parts.var2_hat == pytest.approx(var2, rel=1e-12)
 
@@ -101,6 +94,39 @@ def test_split_allocates_less_than_one_n_by_n_array(tau):
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("kind", ["theorem1", "sigmoid_graphon"])
+def test_streamed_dominance_rows_are_means_of_dataset_splits(kind):
+    spec = make_dgp(kind)
+    k = make_kernel("epanechnikov", 2)
+    rule = BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1)
+    n_list, reps, seed = (20, 45), 50, 4
+    rows = variance_dominance(spec, k, rule, n_list, reps, W0, seed)
+    for idx, (n, row) in enumerate(zip(n_list, rows)):
+        h = bandwidth(rule, n)
+        parts = [hoeffding_decompose(simulate(spec, n, replication_seed(seed, idx, rep)), k, h, math.inf, W0)
+                 for rep in range(reps)]
+        assert row.n_units == n and row.n_excluded == 0
+        assert row.var_t1 == pytest.approx(np.mean([p.var1_hat for p in parts]), rel=1e-12)
+        assert row.var_t2 == pytest.approx(np.mean([p.var2_hat for p in parts]), rel=1e-12)
+
+
+def test_streamed_split_allocates_under_a_quarter_of_one_n_by_n_array():
+    n = 600
+    spec = make_dgp("theorem1", "sin_additive")
+    k = make_kernel("epanechnikov", 2)
+    _split(*_pair_blocks(spec, n, 8), k, 0.3, math.inf, W0)
+    tracemalloc.start()
+    try:
+        parts = _split(*_pair_blocks(spec, n, 8), k, 0.3, math.inf, W0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * n * n
+    whole = hoeffding_decompose(simulate(spec, n, 8), k, 0.3, math.inf, W0)
+    for got, want in zip(astuple(parts), astuple(whole)):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_constant_outcomes_flat_kernel_zero_variance_components():

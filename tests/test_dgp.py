@@ -2,6 +2,7 @@ import math
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,47 @@ def test_simulate_is_bitwise_the_one_shot_oracle(monkeypatch, kind, d_x, law):
             assert v_pairs.tobytes() == latents[2].tobytes(), (n, seed)
             for a, b in zip(latents, naive_latents(spec, n, seed)):
                 assert a.tobytes() == b.tobytes(), (n, seed)
+
+
+def _pair_noise(x1, x2, u1, u2, v):
+    return v
+
+
+@pytest.mark.parametrize("d_x", [1, 2])
+@pytest.mark.parametrize("kind", DGP_KINDS + ("pair_noise",))
+def test_pair_blocks_are_simulates_outcomes_bitwise(kind, d_x):
+    if kind == "pair_noise":  # the graphon of test_pure_pair_noise_reverses_dominance
+        spec = replace(make_dgp("noiseless", "zero", d_x=d_x), graphon=_pair_noise, name=kind)
+    else:
+        spec = make_dgp(kind, d_x=d_x)
+    for n in (2, 3, _B, _B + 1, _B + 2, 65):
+        for seed in (0, 7):
+            data = simulate(spec, n, seed)
+            x, blocks = dgp._pair_blocks(spec, n, seed)
+            assert x.tobytes() == data.x.tobytes(), (n, seed)
+            walk = []
+            for r0, r1, c0, up, low in blocks:
+                walk.append((r0, r1, c0))
+                pairs = np.arange(r0, n) > np.arange(r0, r1)[:, None]
+                assert up.tobytes() == np.where(pairs, data.y[r0:r1, r0:], 0.0).tobytes(), (n, seed, r0)
+                assert low.tobytes() == np.where(pairs, data.y[r0:, r0:r1].T, 0.0).tobytes(), (n, seed, r0)
+            assert walk == [(r0, min(r0 + _B, n - 1), r0) for r0 in range(0, n - 1, _B)]
+
+
+def test_pair_blocks_refuse_non_finite_outcomes_and_regressors():
+    def nan_where_u1_above_u2(x1, x2, u1, u2, v):
+        return np.where(u1 > u2, np.nan, v)
+
+    spec = replace(make_dgp("noiseless", "zero"), graphon=nan_where_u1_above_u2)
+    with pytest.raises(ValueError, match="outcomes must be finite"):
+        simulate(spec, 40, 1)
+    with pytest.raises(ValueError, match="outcomes must be finite"):
+        list(dgp._pair_blocks(spec, 40, 1)[1])
+    nan_law = replace(uniform_law(1), sample=lambda rng, n: np.full((n, 1), np.nan))
+    spec = replace(make_dgp("theorem1"), regressor_law=nan_law)
+    for draw in (simulate, dgp._pair_blocks):
+        with pytest.raises(ValueError, match="must be finite"):
+            draw(spec, 40, 1)
 
 
 def test_diagonal_is_structurally_absent():
@@ -199,10 +241,26 @@ def test_replicate_reraises_the_first_failing_replications_exception(monkeypatch
 def test_dataset_validation():
     with pytest.raises(ValueError):
         DyadicDataset(x=np.zeros((1, 1)), y=np.zeros((1, 1)))
-    y = np.zeros((3, 3))
-    y[0, 1] = np.inf
-    with pytest.raises(ValueError):
-        DyadicDataset(x=np.zeros((3, 1)), y=y)
+    for value in (np.nan, np.inf, -np.inf):
+        y = np.zeros((3, 3))
+        y[2, 2] = value  # not data: the diagonal is set to zero
+        assert np.array_equal(DyadicDataset(x=np.zeros((3, 1)), y=y).y, np.zeros((3, 3)))
+        y[0, 1] = value
+        with pytest.raises(ValueError, match="outcomes must be finite"):
+            DyadicDataset(x=np.zeros((3, 1)), y=y)
+
+
+def test_validation_makes_no_n_by_n_temporary():
+    n = 600
+    x, y = np.random.default_rng(0).random((n, 1)), np.random.default_rng(1).random((n, n))
+    DyadicDataset._adopt(x, y)
+    tracemalloc.start()
+    try:
+        DyadicDataset._adopt(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n / 16
 
 
 def test_disjoint_index_independence():

@@ -285,7 +285,7 @@ def test_weights_equal_point_by_point_weights_bitwise(kernel_id, d_x, rng):
     for name, grid in _grids(d_x, rng).items():
         a_ref, b_ref = naive_weights(data, kernel, h, grid)
         for half, ref in ((grid[:, :d_x], a_ref), (grid[:, d_x:], b_ref)):
-            weights = _weights(data, kernel, h, half)
+            weights = _weights(data.x, kernel, h, half)
             assert np.array_equal(weights, ref) and weights.flags.c_contiguous, name
         res = nw_estimate(data, kernel, h, grid)
         g_ref, f_ref, defined_ref = _point_by_point_estimate(data, kernel, h, grid)
