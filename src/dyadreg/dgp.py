@@ -10,9 +10,14 @@ and `_outcomes` turns V into Y a block of rows at a time. `_pair_blocks`
 draws the same outcomes as blocks of pairs (i, j > i), through the same
 `_outcomes`, so a caller that only sums over pairs holds no N x N matrix:
 variance_dominance feeds them to the one Hoeffding accumulator, which
-hoeffding_decompose feeds with blocks of a dataset's Y. `replicate` runs
-the replications of each N on a thread pool; every replication has its own
-seed, so its results do not depend on the pool size.
+hoeffding_decompose feeds with blocks of a dataset's Y. Without a graphon,
+`_outcome_matmul` gives Y b for simulate's Y and weights b without forming
+Y: g(X_i, X_j) in row blocks, U_i + U_j in closed form and V from the same
+walk. A rate study at one point of a DGP without a graphon draws its
+replications there; graphon DGPs and grids of more than one point draw
+them through simulate. `replicate` runs the replications of each N on a
+thread pool; every replication has its own seed, so its results do not
+depend on the pool size.
 
 The pairs CSV is written one row of Y at a time and read about 600 lines at
 a time, with string operations that run in C in place of a csv call per cell.
@@ -298,6 +303,24 @@ def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     return DyadicDataset._adopt(x, y)
 
 
+def _v_pair_blocks(seed: int, n_units: int, shared: bool):
+    """The _v_blocks walk with each block scattered by rows: (r0, r1, up, low)
+    with up[i - r0, k] = V_ij and low[i - r0, k] = V_ji for j = r0 + k > i,
+    and zero in the first r1 - r0 columns where j <= i. up and low hold until
+    the next block; the V block itself is dropped before the yield, so with
+    shared=False it is freed there."""
+    rows = min(_V_BLOCK_ROWS, n_units - 1)
+    up_array, low_array = np.empty(rows * n_units), np.empty(rows * n_units)
+    pairs = np.arange(n_units) > np.arange(rows)[:, None]  # k > i - r0: column r0 + k holds a pair's V
+    for r0, r1, vb in _v_blocks(seed, n_units, shared):
+        m, w = r1 - r0, n_units - r0
+        up, low = up_array[:m * w].reshape(m, w), low_array[:m * w].reshape(m, w)
+        up[:, :m] = low[:, :m] = 0.0
+        up[pairs[:m, :w]], low[pairs[:m, :w]] = vb[:, 0], vb[:, 1]
+        del vb
+        yield r0, r1, up, low
+
+
 def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
     """(x, blocks): the regressors and outcomes of simulate(spec, n_units, seed),
     bit for bit, with no N x N matrix. blocks yields (r0, r1, r0, up, low) in
@@ -315,18 +338,10 @@ def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
         raise ValueError("regressors must be finite")
 
     def blocks():
-        rows = min(_V_BLOCK_ROWS, n_units - 1)
-        up_array, low_array = np.empty(rows * n_units), np.empty(rows * n_units)
-        square = np.tri(rows, dtype=bool)  # j <= i in a block's first columns: no pair's place
-        for r0, r1, vb in _v_blocks(seed, n_units, shared=False):
-            m, w = r1 - r0, n_units - r0
-            up, low = up_array[:m * w].reshape(m, w), low_array[:m * w].reshape(m, w)
-            pairs = np.ones((m, w), dtype=bool)  # every column right of the first m is a pair's
-            pairs[:, :m] = ~square[:m, :m]
-            up[:, :m] = low[:, :m] = 0.0
-            up[pairs], low[pairs] = vb[:, 0], vb[:, 1]
-            del vb
-            scratch = np.empty(((m + 1) // 2, w))
+        square = np.tri(min(_V_BLOCK_ROWS, n_units - 1), dtype=bool)  # j <= i in a block's first columns
+        for r0, r1, up, low in _v_pair_blocks(seed, n_units, shared=False):
+            m = r1 - r0
+            scratch = np.empty(((m + 1) // 2, n_units - r0))
             for p0 in range(0, m, len(scratch)):
                 p1 = min(p0 + len(scratch), m)
                 i, j = slice(r0 + p0, r0 + p1), slice(r0, None)
@@ -340,6 +355,54 @@ def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
             yield r0, r1, r0, up, low
 
     return x, blocks()
+
+
+# outcomes in a row block of g(X_i, X_j) (512 KB), at least _V_BLOCK_ROWS rows: in 32-row blocks at
+# N=800 the GIL held by a block's numpy calls kept two replicate threads from overlapping the g part
+_G_BLOCK_SIZE = 1 << 16
+
+
+def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
+    """(x, y_matmul): the regressors of simulate(spec, n_units, seed) and the
+    function that takes weights b (N x M) to Y @ b, for the Y of that dataset
+    (zero diagonal), with no N x N matrix. Only for a DGP without a graphon,
+    whose outcomes split as Y_ij = g(X_i, X_j) + U_i + U_j + V_ij; each part
+    is multiplied by b on its own:
+      - g in row blocks of g(X_i, X_j), less the diagonal;
+      - U_i + U_j in closed form, U_i (sum b - b_i) + (U . b - U_i b_i);
+      - V in the _v_pair_blocks walk: each block's rows against b and its
+        columns (the V_ji) against b's rows of the block.
+    The sums run in another order than those of Y @ b, so they agree to
+    rounding. Non-finite regressors, or a non-finite g off the diagonal (the
+    outcomes that simulate's dataset refuses), raise ValueError. Temporaries
+    are a few blocks of rows: the V walk's shared block and its up and low,
+    about 0.24 x 8 N^2 bytes at N = 600."""
+    if spec.graphon is not None:
+        raise ValueError(f"dgp {spec.name!r} has a graphon, so its outcomes are not g + U_i + U_j + V_ij")
+    x, u = _units(spec, n_units, seed)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("regressors must be finite")
+
+    def y_matmul(b: np.ndarray) -> np.ndarray:
+        n = n_units
+        out = u[:, None] * (b.sum(axis=0) - b) + (u @ b - u[:, None] * b)
+        rows = max(_V_BLOCK_ROWS, _G_BLOCK_SIZE // n)
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            g_ij = np.broadcast_to(spec.g(x[r0:r1, None, :], x[None, :, :]), (r1 - r0, n))
+            if not _all_finite(g_ij):  # the dataset refuses non-finite outcomes off the diagonal only
+                g_ij = g_ij.copy()
+                np.fill_diagonal(g_ij[:, r0:r1], 0.0)
+                if not _all_finite(g_ij):
+                    raise ValueError("off-diagonal outcomes must be finite")
+            out[r0:r1] += g_ij @ b - g_ij.diagonal(r0)[:, None] * b[r0:r1]
+            del g_ij  # before the next block's, or the V walk's arrays, come
+        for r0, r1, up, low in _v_pair_blocks(seed, n, shared=True):
+            out[r0:r1] += up @ b[r0:]
+            out[r0:] += low.T @ b[r0:r1]
+        return out
+
+    return x, y_matmul
 
 
 def replication_seed(seed: int, idx: int, rep: int) -> int:
@@ -380,27 +443,16 @@ def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic, draw
         pool.shutdown(cancel_futures=True)
 
 
-def true_g_on_grid(spec: DgpSpec, grid, mc_integration: bool = False,
-                   mc_reps: int = 20000, seed: int = 0) -> np.ndarray:
-    """g(w) = E[Y_12 | W_12 = w] on a list of points w in R^(2 d_x)."""
+def true_g_on_grid(spec: DgpSpec, grid) -> np.ndarray:
+    """g(w) = E[Y_12 | W_12 = w] on a list of points w in R^(2 d_x); ValueError
+    for a DGP whose conditional mean has no closed form."""
     w = np.atleast_2d(np.asarray(grid, dtype=float))
     d = spec.d_x
     if w.shape[1] != 2 * d:
         raise ValueError(f"grid points must have length {2 * d}")
-    x1, x2 = w[:, :d], w[:, d:]
-    if spec.g is not None:
-        return np.asarray(spec.g(x1, x2), dtype=float)
-    if not mc_integration:
-        raise ValueError(
-            "graphon has no tractable conditional mean; pass mc_integration=True "
-            "to integrate the latent noise by Monte Carlo"
-        )
-    rng = _stream(seed, 4)
-    u1 = rng.standard_normal((mc_reps, 1))
-    u2 = rng.standard_normal((mc_reps, 1))
-    v = rng.standard_normal((mc_reps, 1))
-    vals = spec.graphon(x1, x2, u1, u2, v)
-    return np.mean(vals, axis=0)
+    if spec.g is None:
+        raise ValueError(f"dgp {spec.name!r} has no closed-form conditional mean g")
+    return np.asarray(spec.g(w[:, :d], w[:, d:]), dtype=float)
 
 
 # --- persistence ------------------------------------------------------------

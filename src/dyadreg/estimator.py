@@ -8,7 +8,12 @@ The regression estimate at w = (w1, w2) is the ratio of two pair averages,
 with K_h(u) = h^-d_W K(u / h) and W_ij = (X_i, X_j). For product kernels the
 pair sums factor as a^T Y b with per-unit weight vectors a, b, which is what
 the implementation computes (the naive pair sweep lives in the test suite as
-an independent oracle).
+an independent oracle). The contraction reads Y only as the product Y b, so
+it takes either a dataset's Y (nw_estimate) or dgp._outcome_matmul's stream
+of simulate's Y, which is never built (_nw, for one-point rate studies of a
+DGP without a graphon). Both paths share the weights, the density sum and
+the ratio with its cutoff, so f_hat and the undefined markers agree bit for
+bit; g_hat agrees to rounding, since Y b is summed in another order.
 
 Over a grid of G points whose first halves w1 take G1 distinct values and last
 halves w2 take G2, the sums are read off the G1 x G2 matrix a^T (Y b) of the
@@ -169,10 +174,11 @@ def _grid_halves(grid: np.ndarray, d: int) -> tuple[tuple, tuple]:
         return _planned_halves(grid.tobytes(), grid.shape, d)
 
 
-def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
-               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair averages (psi, f) over the grid: psi contracts the outcome matrix y
-    (zero diagonal) as a^T y b, f the all-ones matrix off the diagonal.
+def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid,
+               y_matmul) -> tuple[np.ndarray, np.ndarray]:
+    """Pair averages (psi, f) over the grid for regressors x (N x d_x): psi
+    contracts the outcome matrix Y (zero diagonal) as a^T (Y b), with Y b =
+    y_matmul(b), f the all-ones matrix off the diagonal.
 
     With G grid points whose halves take G1 and G2 distinct values, the whole
     G1 x G2 matrix over the distinct halves costs N^2 G2 + N G1 G2 flops, the
@@ -181,15 +187,15 @@ def _pair_sums(data: DyadicDataset, kernel: KernelSpec, h: float, grid,
     each point its own columns of a and b, and its sums are bit for bit those
     of weights built point by point."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    d, n = data.d_x, data.n_units
+    n, d = x.shape
     (u, p, u_codes), (v, q, v_codes) = _grid_halves(grid, d)
     if len(v) * (n + len(u)) < len(grid) * (n + 1):
-        a, b = _weights(data.x, kernel, h, u, u_codes), _weights(data.x, kernel, h, v, v_codes)
-        psi = (a.T @ (y @ b))[p, q]
+        a, b = _weights(x, kernel, h, u, u_codes), _weights(x, kernel, h, v, v_codes)
+        psi = (a.T @ y_matmul(b))[p, q]
         f = (np.outer(a.sum(axis=0), b.sum(axis=0)) - a.T @ b)[p, q]
     else:
-        a, b = _weights(data.x, kernel, h, grid[:, :d]), _weights(data.x, kernel, h, grid[:, d:])
-        psi = np.einsum("ng,ng->g", a, y @ b)
+        a, b = _weights(x, kernel, h, grid[:, :d]), _weights(x, kernel, h, grid[:, d:])
+        psi = np.einsum("ng,ng->g", a, y_matmul(b))
         f = a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
     return psi * scale, f * scale
@@ -210,11 +216,17 @@ class NwResult:
 def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwResult:
     """Regression estimates over a grid; per-point undefined markers where the
     density estimate falls below the denominator cutoff, never a crash."""
+    return _nw(data.x, data.y.__matmul__, kernel, h, grid)
+
+
+def _nw(x: np.ndarray, y_matmul, kernel: KernelSpec, h: float, grid) -> NwResult:
+    """nw_estimate for regressors x whose outcome matrix Y is reached only
+    through y_matmul(b) = Y @ b: a dataset's Y, or dgp._outcome_matmul's
+    stream of simulate's Y, which never builds it."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    num, den = _pair_sums(data, kernel, h, grid, data.y)
+    num, den = _pair_sums(x, kernel, h, grid, y_matmul)
     eps_denom = 1e-12 * kernel.k_max * kernel_scale(h, kernel.dim)
     defined = den > eps_denom
     g_hat = np.full(den.shape, np.nan)
     np.divide(num, den, out=g_hat, where=defined)
     return NwResult(grid=grid, g_hat=g_hat, f_hat=den, defined=defined)
-

@@ -6,6 +6,14 @@ the log error against log N (pointwise) or log(N / ln N) (sup norm). Foil
 fits against the dyad count n = N(N-1) and the naive d_W-based exponent are
 reported alongside, since the whole point is which sample size and which
 dimension govern the rate.
+
+Replications take one of two paths, set by the input. On a one-point grid
+(any pointwise study, or a one-step sup-norm grid) of a DGP without a
+graphon, each replication contracts dgp._outcome_matmul's stream of the V
+draw and never holds the N x N outcome matrix. Graphon DGPs and grids of
+more points draw simulate's dataset and call nw_estimate: on a grid, the g
+part of the stream is a second N^2 x G2 product, and a prototype of it was
+slower than simulate and one contraction of Y.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import DgpSpec, axes_grid, replicate, true_g_on_grid
-from .estimator import BandwidthRule, bandwidth, kernel_scale, nw_estimate
+from .dgp import DgpSpec, _outcome_matmul, axes_grid, replicate, true_g_on_grid
+from .estimator import BandwidthRule, _nw, bandwidth, kernel_scale, nw_estimate
 from .kernels import KERNEL_IDS, make_kernel
 
 __all__ = [
@@ -160,10 +168,12 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
     else:
         grid = product_grid(exp.grid_lo, exp.grid_hi, exp.grid_steps, 2 * d_x)
     g_true = true_g_on_grid(exp.dgp, grid)
+    # one point of a DGP without a graphon: contract the V stream, never build Y
+    streamed = len(grid) == 1 and exp.dgp.graphon is None
 
-    def max_error(data, h):
+    def max_error(drawn, h):
         """(undefined grid points, sup error over the defined ones or None)."""
-        res = nw_estimate(data, kernel, h, grid)
+        res = _nw(*drawn, kernel, h, grid) if streamed else nw_estimate(drawn, kernel, h, grid)
         if not np.any(res.defined):
             return res.n_undefined, None
         return res.n_undefined, float(np.max(np.abs(res.g_hat[res.defined] - g_true[res.defined])))
@@ -171,7 +181,8 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
     rows = []
     valid = True
     reason = ""
-    for n, stats in replicate(exp.dgp, exp.rule, exp.n_list, exp.reps, exp.seed, max_error):
+    draw = _outcome_matmul if streamed else None
+    for n, stats in replicate(exp.dgp, exp.rule, exp.n_list, exp.reps, exp.seed, max_error, draw=draw):
         undefined = sum(u for u, _ in stats)
         errs = np.asarray([e for _, e in stats if e is not None])
         excluded = exp.reps - errs.size

@@ -124,12 +124,12 @@ def omega_inverse(sel):
 
 def psi_hat(data, kernel, h, w):
     """Kernel-weighted outcome average over ordered pairs, by the library."""
-    return float(_pair_sums(data, kernel, h, [w], data.y)[0][0])
+    return float(_pair_sums(data.x, kernel, h, [w], data.y.__matmul__)[0][0])
 
 
 def f_hat_w(data, kernel, h, w):
     """Kernel density estimate of f_W at w, by the library."""
-    return float(_pair_sums(data, kernel, h, [w], data.y)[1][0])
+    return float(_pair_sums(data.x, kernel, h, [w], data.y.__matmul__)[1][0])
 
 
 def naive_psi_hat(data, kernel, h, w):

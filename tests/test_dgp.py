@@ -313,16 +313,11 @@ def test_true_g_threshold_graphon_normal_cdf():
     spec = make_dgp("threshold_graphon")
     val = true_g_on_grid(spec, [[0.0, 0.0]])[0]
     assert val == pytest.approx(0.5, abs=1e-12)
-    # MC integration agrees with the analytic conditional mean
-    spec_no_cm = make_dgp("sigmoid_graphon")
-    mc = true_g_on_grid(spec_no_cm, [[0.3, 0.4]], mc_integration=True, mc_reps=200_000)[0]
-    direct = true_g_on_grid(spec_no_cm, [[0.3, 0.4]], mc_integration=True, mc_reps=200_000, seed=1)[0]
-    assert mc == pytest.approx(direct, abs=0.01)
 
 
-def test_true_g_graphon_without_cond_mean_guides_to_mc():
+def test_true_g_refuses_a_graphon_without_a_conditional_mean():
     spec = make_dgp("sigmoid_graphon")
-    with pytest.raises(ValueError, match="mc_integration"):
+    with pytest.raises(ValueError, match="no closed-form conditional mean"):
         true_g_on_grid(spec, [[0.0, 0.0]])
 
 

@@ -2,13 +2,18 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from conftest import naive_nw
 from dyadreg import dgp, estimator
-from dyadreg.dgp import make_dgp
-from dyadreg.estimator import BandwidthRule
+from dyadreg.dgp import REGRESSION_FUNCS, make_dgp, simulate, uniform_law
+from dyadreg.estimator import BandwidthRule, _nw, nw_estimate
+from dyadreg.kernels import make_kernel
 from dyadreg.rates import (RateExperiment, fit_exponent, rate_fit_json, rate_rows_csv,
                            run_rate_experiment)
 
@@ -176,3 +181,107 @@ def test_sup_norm_study_plans_its_grid_once_on_any_pool(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert outputs[0] == outputs[1]
+
+
+# --- the streamed pointwise path: dgp._outcome_matmul through estimator._nw ---
+
+_B = dgp._V_BLOCK_ROWS
+_STREAM_SIZES = (2, 3, _B, _B + 1, _B + 2, 65)
+
+
+def _streamed(spec, n, seed, kernel, h, w0):
+    return _nw(*dgp._outcome_matmul(spec, n, seed), kernel, h, [w0])
+
+
+@pytest.mark.parametrize("kernel_id", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("law", ["uniform", "truncnorm"])
+@pytest.mark.parametrize("d_x", [1, 2])
+def test_streamed_estimate_is_simulates_nw_estimate(monkeypatch, d_x, law, kernel_id):
+    """At the V walk's block edges, for every shipped g: f_hat and defined are
+    nw_estimate's bit for bit and g_hat is the pair-loop oracle's to rel
+    1e-12, also where the estimate is undefined."""
+    monkeypatch.setattr(dgp, "_G_BLOCK_SIZE", 1)  # g in _V_BLOCK_ROWS-row blocks too
+    kernel = make_kernel(kernel_id, 2 * d_x)
+    h = 0.3 if kernel_id == "gaussian" else 0.5
+    points = (np.full(2 * d_x, 0.5), np.full(2 * d_x, 40.0))  # no pair has weight at the second
+    undefined = defined = 0
+    for g_name in REGRESSION_FUNCS:
+        spec = make_dgp("theorem1", g_name, d_x=d_x, law=law)
+        for n in _STREAM_SIZES:
+            for w0 in points:
+                res = _streamed(spec, n, 11, kernel, h, w0)
+                data = simulate(spec, n, 11)
+                ref = nw_estimate(data, kernel, h, [w0])
+                assert res.f_hat.tobytes() == ref.f_hat.tobytes(), (g_name, n)
+                assert res.defined.tobytes() == ref.defined.tobytes(), (g_name, n)
+                assert res.g_hat == pytest.approx(ref.g_hat, rel=1e-12, nan_ok=True), (g_name, n)
+                if n <= 3 or (w0[0] == 0.5 and (n == _B + 1 or g_name == "product")):
+                    g_ref, f_ref = naive_nw(data, kernel, h, w0)
+                    assert res.f_hat[0] == pytest.approx(f_ref, rel=1e-12, abs=1e-300), (g_name, n)
+                    assert res.g_hat[0] == pytest.approx(g_ref, rel=1e-12, nan_ok=True), (g_name, n)
+                undefined += res.n_undefined
+                defined += int(res.defined[0])
+    assert undefined and defined
+
+
+def test_streamed_path_refuses_what_simulate_refuses():
+    """A g that is NaN off the diagonal and a NaN regressor law raise
+    simulate's ValueError; a g that is NaN only on the diagonal, which no
+    outcome holds, and NaN weights, which make psi NaN, raise nothing."""
+    kernel, w0 = make_kernel("gaussian", 2), np.array([0.5, 0.5])
+
+    def nan_above_half(x1, x2):
+        return np.where(x1[..., 0] + 0 * x2[..., 0] > 0.5, np.nan, 1.0)
+
+    def nan_on_the_diagonal(x1, x2):
+        return np.where(x1[..., 0] == x2[..., 0], np.nan, 1.0)
+
+    spec = replace(make_dgp("theorem1"), g=nan_above_half)
+    for draw in (simulate, lambda *args: _streamed(*args, kernel, 0.3, w0)):
+        with pytest.raises(ValueError, match="off-diagonal outcomes must be finite"):
+            draw(spec, 70, 1)
+    nan_law = replace(uniform_law(1), sample=lambda rng, n: np.full((n, 1), np.nan))
+    for g_name in ("sin_additive", "zero"):  # the zero g leaves every outcome finite
+        spec = replace(make_dgp("theorem1", g_name), regressor_law=nan_law)
+        for draw in (simulate, lambda *args: _streamed(*args, kernel, 0.3, w0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                draw(spec, 70, 1)
+    spec = replace(make_dgp("theorem1"), g=nan_on_the_diagonal)
+    for n in (3, 70):
+        res, ref = _streamed(spec, n, 1, kernel, 0.3, w0), nw_estimate(simulate(spec, n, 1), kernel, 0.3, [w0])
+        assert res.g_hat == pytest.approx(ref.g_hat, rel=1e-12)
+    spec = make_dgp("theorem1")
+    res = _streamed(spec, 70, 1, kernel, 0.3, [np.nan, 0.5])
+    assert res.n_undefined == 1 and math.isnan(res.g_hat[0])
+
+
+def test_streamed_replication_allocates_under_a_quarter_of_one_n_by_n_array():
+    spec, kernel, n = make_dgp("theorem1", "sin_additive"), make_kernel("gaussian", 2), 600
+    _streamed(spec, n, 1, kernel, 0.2, [0.5, 0.5])
+    tracemalloc.start()
+    try:
+        _streamed(spec, n, 1, kernel, 0.2, [0.5, 0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * n * n
+
+
+@pytest.mark.parametrize("kind, mode, simulated", [
+    ("theorem1", "pointwise", False),
+    ("threshold_graphon", "pointwise", True),
+    ("theorem1", "sup-norm", True),
+])
+def test_only_pointwise_studies_without_a_graphon_skip_simulate(monkeypatch, kind, mode, simulated):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return simulate(*args)
+
+    monkeypatch.setattr(dgp, "simulate", counted)
+    exp = RateExperiment(dgp=make_dgp(kind, "sin_additive"), kernel_id="gaussian",
+                         rule=BandwidthRule("pointwise-optimal", 0.8), mode=mode, n_list=(20, 30, 40, 50),
+                         reps=50, seed=3, w0=(0.5, 0.5), grid_steps=3)
+    assert run_rate_experiment(exp).rows[0].n_excluded_reps == 0
+    assert len(calls) == (200 if simulated else 0)
