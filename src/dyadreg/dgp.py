@@ -10,14 +10,12 @@ and `_outcomes` turns V into Y a block of rows at a time. `_pair_blocks`
 draws the same outcomes as blocks of pairs (i, j > i), through the same
 `_outcomes`, so a caller that only sums over pairs holds no N x N matrix:
 variance_dominance feeds them to the one Hoeffding accumulator, which
-hoeffding_decompose feeds with blocks of a dataset's Y. Without a graphon,
-`_outcome_matmul` gives Y b for simulate's Y and weights b without forming
-Y: g(X_i, X_j) in row blocks, U_i + U_j in closed form and V from the same
-walk. A rate study at one point of a DGP without a graphon draws its
-replications there; graphon DGPs and grids of more than one point draw
-them through simulate. `replicate` runs the replications of each N on a
-thread pool; every replication has its own seed, so its results do not
-depend on the pool size.
+hoeffding_decompose feeds with blocks of a dataset's Y. An additive DGP
+(no graphon, g = m(x1) + m(x2)) has outcomes c_i + c_j + V_ij, c = m(X) + U:
+`_outcome_matmul` gives Y b from c in closed form and V from the same walk,
+with no N x N matrix, and rate studies of it draw their replications there.
+`replicate` runs the replications of each N on a thread pool; each has its
+own seed, so its results do not depend on the pool size.
 
 The pairs CSV is written one row of Y at a time and read about 600 lines at
 a time, with string operations that run in C in place of a csv call per cell.
@@ -40,11 +38,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.special import ndtr, ndtri
 
 __all__ = [
     "DyadicDataset",
     "DgpSpec",
+    "Additive",
     "RegressorLaw",
     "uniform_law",
     "truncnorm_law",
@@ -119,6 +119,11 @@ class DgpSpec:
     def d_x(self) -> int:
         return self.regressor_law.d_x
 
+    @property
+    def unit_part(self) -> Callable | None:
+        """m if the outcomes are m(X_i) + m(X_j) + U_i + U_j + V_ij, else None."""
+        return self.g.m if self.graphon is None and isinstance(self.g, Additive) else None
+
 
 def _all_finite(y: np.ndarray) -> bool:
     """Whether every entry of y is finite: a NaN or an infinity carries through
@@ -184,14 +189,22 @@ def _coordsum(x):
     return np.sum(np.asarray(x, dtype=float), axis=-1)
 
 
+@dataclass(frozen=True)
+class Additive:
+    """g(x1, x2) = m(x1) + m(x2), for a unit part m from (..., d_x) to (...)."""
+
+    m: Callable
+
+    def __call__(self, x1, x2):
+        return self.m(x1) + self.m(x2)
+
+
 REGRESSION_FUNCS: dict[str, Callable] = {
-    "zero": lambda x1, x2: np.zeros(np.broadcast(_coordsum(x1), _coordsum(x2)).shape),
-    "constant": lambda x1, x2: np.ones(np.broadcast(_coordsum(x1), _coordsum(x2)).shape),
-    "linear_additive": lambda x1, x2: _coordsum(x1) + _coordsum(x2),
-    "sin_additive": lambda x1, x2: np.sum(np.sin(np.asarray(x1, dtype=float)), axis=-1)
-    + np.sum(np.sin(np.asarray(x2, dtype=float)), axis=-1),
-    "sin3_additive": lambda x1, x2: np.sum(np.sin(3.0 * np.asarray(x1, dtype=float)), axis=-1)
-    + np.sum(np.sin(3.0 * np.asarray(x2, dtype=float)), axis=-1),
+    "zero": Additive(lambda x: np.zeros(np.shape(x)[:-1])),
+    "constant": Additive(lambda x: np.full(np.shape(x)[:-1], 0.5)),
+    "linear_additive": Additive(_coordsum),
+    "sin_additive": Additive(lambda x: np.sum(np.sin(np.asarray(x, dtype=float)), axis=-1)),
+    "sin3_additive": Additive(lambda x: np.sum(np.sin(3.0 * np.asarray(x, dtype=float)), axis=-1)),
     "product": lambda x1, x2: _coordsum(x1) * _coordsum(x2),
 }
 
@@ -357,49 +370,31 @@ def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
     return x, blocks()
 
 
-# outcomes in a row block of g(X_i, X_j) (512 KB), at least _V_BLOCK_ROWS rows: in 32-row blocks at
-# N=800 the GIL held by a block's numpy calls kept two replicate threads from overlapping the g part
-_G_BLOCK_SIZE = 1 << 16
-
-
 def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
     """(x, y_matmul): the regressors of simulate(spec, n_units, seed) and the
-    function that takes weights b (N x M) to Y @ b, for the Y of that dataset
-    (zero diagonal), with no N x N matrix. Only for a DGP without a graphon,
-    whose outcomes split as Y_ij = g(X_i, X_j) + U_i + U_j + V_ij; each part
-    is multiplied by b on its own:
-      - g in row blocks of g(X_i, X_j), less the diagonal;
-      - U_i + U_j in closed form, U_i (sum b - b_i) + (U . b - U_i b_i);
-      - V in the _v_pair_blocks walk: each block's rows against b and its
-        columns (the V_ji) against b's rows of the block.
-    The sums run in another order than those of Y @ b, so they agree to
-    rounding. Non-finite regressors, or a non-finite g off the diagonal (the
-    outcomes that simulate's dataset refuses), raise ValueError. Temporaries
-    are a few blocks of rows: the V walk's shared block and its up and low,
-    about 0.24 x 8 N^2 bytes at N = 600."""
-    if spec.graphon is not None:
-        raise ValueError(f"dgp {spec.name!r} has a graphon, so its outcomes are not g + U_i + U_j + V_ij")
+    function that takes weights b (N x M) to Y @ b for that dataset's Y, with
+    no N x N matrix. Only for a DGP with a unit part m: Y_ij = c_i + c_j + V_ij
+    with c = m(X) + U gives c_i (sum b - b_i) + (c . b - c_i b_i), plus
+    each _v_pair_blocks block's rows against b and its columns (the V_ji)
+    against b's rows of the block, to rounding of Y @ b. Non-finite inputs
+    raise simulate's ValueError. Beside b and Y @ b, temporaries are a few
+    N x M arrays and the walk's blocks (0.21 x 8 N^2 bytes at N = 600)."""
+    m = spec.unit_part
+    if m is None:
+        raise ValueError(f"dgp {spec.name!r} is not additive: it has no unit part m")
     x, u = _units(spec, n_units, seed)
+    c = m(x) + u
+    if not np.all(np.isfinite(c)):  # simulate's dataset checks its outcomes first, then x
+        raise ValueError("off-diagonal outcomes must be finite")
     if not np.all(np.isfinite(x)):
         raise ValueError("regressors must be finite")
 
     def y_matmul(b: np.ndarray) -> np.ndarray:
-        n = n_units
-        out = u[:, None] * (b.sum(axis=0) - b) + (u @ b - u[:, None] * b)
-        rows = max(_V_BLOCK_ROWS, _G_BLOCK_SIZE // n)
-        for r0 in range(0, n, rows):
-            r1 = min(r0 + rows, n)
-            g_ij = np.broadcast_to(spec.g(x[r0:r1, None, :], x[None, :, :]), (r1 - r0, n))
-            if not _all_finite(g_ij):  # the dataset refuses non-finite outcomes off the diagonal only
-                g_ij = g_ij.copy()
-                np.fill_diagonal(g_ij[:, r0:r1], 0.0)
-                if not _all_finite(g_ij):
-                    raise ValueError("off-diagonal outcomes must be finite")
-            out[r0:r1] += g_ij @ b - g_ij.diagonal(r0)[:, None] * b[r0:r1]
-            del g_ij  # before the next block's, or the V walk's arrays, come
-        for r0, r1, up, low in _v_pair_blocks(seed, n, shared=True):
+        out = c[:, None] * (b.sum(axis=0) - b) + (c @ b - c[:, None] * b)
+        for r0, r1, up, low in _v_pair_blocks(seed, n_units, shared=True):
             out[r0:r1] += up @ b[r0:]
-            out[r0:] += low.T @ b[r0:r1]
+            # out[r0:] += low.T @ b[r0:r1], added in place: out[r0:].T is Fortran-ordered
+            dgemm(1.0, b[r0:r1].T, low.T, 1.0, out[r0:].T, trans_b=True, overwrite_c=True)
         return out
 
     return x, y_matmul
@@ -422,10 +417,11 @@ def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic, draw
 
     The replications run on a pool of threads, one per CPU this process may
     use, and each list comes back in replication order, so the results do
-    not depend on the pool size. `statistic` and `draw` (and a DGP's g or
-    graphon) must be safe to call from several threads at once. If either
-    raises, the first failing replication's exception is re-raised here once
-    the replications already running end; those still queued are cancelled."""
+    not depend on the pool size. `statistic` and `draw` (and a DGP's g, its
+    unit part m, or graphon) must be safe to call from several threads at
+    once. If either raises, the first failing replication's exception is
+    re-raised here once the replications already running end; those still
+    queued are cancelled."""
     from .estimator import bandwidth  # estimator imports this module
 
     draw = simulate if draw is None else draw  # at call time, so a test's or a tracer's swap of simulate holds

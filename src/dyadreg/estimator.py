@@ -10,10 +10,10 @@ pair sums factor as a^T Y b with per-unit weight vectors a, b, which is what
 the implementation computes (the naive pair sweep lives in the test suite as
 an independent oracle). The contraction reads Y only as the product Y b, so
 it takes either a dataset's Y (nw_estimate) or dgp._outcome_matmul's stream
-of simulate's Y, which is never built (_nw, for one-point rate studies of a
-DGP without a graphon). Both paths share the weights, the density sum and
-the ratio with its cutoff, so f_hat and the undefined markers agree bit for
-bit; g_hat agrees to rounding, since Y b is summed in another order.
+of simulate's Y, which is never built (_nw, for rate studies of an additive
+DGP). Both paths share the weights, the density sum and the ratio with its
+cutoff, so f_hat and the undefined markers agree bit for bit; g_hat agrees
+to rounding, since Y b is summed in another order.
 
 Over a grid of G points whose first halves w1 take G1 distinct values and last
 halves w2 take G2, the sums are read off the G1 x G2 matrix a^T (Y b) of the
@@ -190,8 +190,9 @@ def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid,
     n, d = x.shape
     (u, p, u_codes), (v, q, v_codes) = _grid_halves(grid, d)
     if len(v) * (n + len(u)) < len(grid) * (n + 1):
-        a, b = _weights(x, kernel, h, u, u_codes), _weights(x, kernel, h, v, v_codes)
-        psi = (a.T @ y_matmul(b))[p, q]
+        b = _weights(x, kernel, h, v, v_codes)
+        y_b, a = y_matmul(b), _weights(x, kernel, h, u, u_codes)  # a after Y b: a stream does not hold both
+        psi = (a.T @ y_b)[p, q]
         f = (np.outer(a.sum(axis=0), b.sum(axis=0)) - a.T @ b)[p, q]
     else:
         a, b = _weights(x, kernel, h, grid[:, :d]), _weights(x, kernel, h, grid[:, d:])

@@ -7,13 +7,10 @@ fits against the dyad count n = N(N-1) and the naive d_W-based exponent are
 reported alongside, since the whole point is which sample size and which
 dimension govern the rate.
 
-Replications take one of two paths, set by the input. On a one-point grid
-(any pointwise study, or a one-step sup-norm grid) of a DGP without a
-graphon, each replication contracts dgp._outcome_matmul's stream of the V
-draw and never holds the N x N outcome matrix. Graphon DGPs and grids of
-more points draw simulate's dataset and call nw_estimate: on a grid, the g
-part of the stream is a second N^2 x G2 product, and a prototype of it was
-slower than simulate and one contraction of Y.
+Replications of an additive DGP, on one point or a grid, contract
+dgp._outcome_matmul's stream of the V draw and never hold the N x N outcome
+matrix. Other DGPs call nw_estimate on simulate's dataset: on a grid their
+g part is a second N^2 x G2 product, slower than simulate and one product.
 """
 
 from __future__ import annotations
@@ -168,8 +165,7 @@ def run_rate_experiment(exp: RateExperiment) -> RateFit:
     else:
         grid = product_grid(exp.grid_lo, exp.grid_hi, exp.grid_steps, 2 * d_x)
     g_true = true_g_on_grid(exp.dgp, grid)
-    # one point of a DGP without a graphon: contract the V stream, never build Y
-    streamed = len(grid) == 1 and exp.dgp.graphon is None
+    streamed = exp.dgp.unit_part is not None  # contract the V stream, never build Y
 
     def max_error(drawn, h):
         """(undefined grid points, sup error over the defined ones or None)."""

@@ -392,7 +392,7 @@ def test_rates_and_diagnose_outputs_do_not_depend_on_replicate_threads(tmp_path,
     body = ("dgp.kind = theorem1\ndgp.g = sin_additive\nkernel = epanechnikov\n"
             "bandwidth.mode = uniform-optimal\nbandwidth.c0 = 0.8\nmode = sup-norm\n"
             "grid.steps = 5\nn_list = 20,40,80,160\nreps = 50\nseed = 5\n")
-    pointwise = ("dgp.kind = theorem1\ndgp.g = product\nkernel = gaussian\n"
+    pointwise = ("dgp.kind = theorem1\nkernel = gaussian\n"
                  "bandwidth.mode = pointwise-optimal\nbandwidth.c0 = 0.5\nmode = pointwise\n"
                  "w0 = 0.4,0.6\nn_list = 20,40,80,160\nreps = 50\nseed = 6\n")
     outputs = []
@@ -401,15 +401,17 @@ def test_rates_and_diagnose_outputs_do_not_depend_on_replicate_threads(tmp_path,
         cfg = tmp_path / f"{tag}.cfg"
         cfg.write_text(body + f"out.prefix = {tmp_path / tag}\n")
         assert main(["rates", "--config", str(cfg)]) == 0
-        cfg.write_text(pointwise + f"out.prefix = {tmp_path / tag}.pw\n")
-        assert main(["rates", "--config", str(cfg)]) == 0
+        for g in ("product", "sin_additive"):  # through simulate, and streamed
+            cfg.write_text(f"dgp.g = {g}\n" + pointwise + f"out.prefix = {tmp_path / tag}.{g}\n")
+            assert main(["rates", "--config", str(cfg)]) == 0
         assert main(["diagnose", "--n", "20,60", "--reps", "50", "--w", "0.5,0.5", "--seed", "2",
                      "--out", str(tmp_path / f"{tag}.dom.csv")]) == 0
         assert main(["diagnose", "--dgp", "sigmoid_graphon", "--n", "20,60", "--reps", "50",
                      "--w", "0.5,0.5", "--seed", "2", "--out", str(tmp_path / f"{tag}.graphon.csv")]) == 0
         outputs.append([(tmp_path / f"{tag}{ext}").read_bytes()
                         for ext in (".csv", ".fit.json", ".plot.dat", ".dom.csv", ".graphon.csv",
-                                    ".pw.csv", ".pw.fit.json", ".pw.plot.dat")])
+                                    *(f".{g}{suffix}" for g in ("product", "sin_additive")
+                                      for suffix in (".csv", ".fit.json", ".plot.dat")))])
     assert outputs[0] == outputs[1] == outputs[2]
 
 

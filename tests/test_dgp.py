@@ -10,9 +10,9 @@ from scipy.stats import ks_2samp
 
 from conftest import naive_latents, naive_simulate, replace_cell
 from dyadreg import dgp
-from dyadreg.dgp import (DGP_KINDS, DgpSpec, DyadicDataset, load_dataset, make_dgp, replicate,
-                         replication_seed, save_dataset, simulate, simulate_latents, true_g_on_grid,
-                         truncnorm_law, uniform_law)
+from dyadreg.dgp import (DGP_KINDS, REGRESSION_FUNCS, Additive, DgpSpec, DyadicDataset, load_dataset,
+                         make_dgp, replicate, replication_seed, save_dataset, simulate, simulate_latents,
+                         true_g_on_grid, truncnorm_law, uniform_law)
 from dyadreg.estimator import BandwidthRule
 
 
@@ -66,6 +66,30 @@ def test_seed_determinism_bit_identical():
 _B = dgp._V_BLOCK_ROWS
 # 65 and 129 straddle 64-row blocks, whatever _B is
 _ORACLE_SIZES = tuple(sorted({2, 3, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 65, 129, 300}))
+
+
+@pytest.mark.parametrize("law", ["uniform", "truncnorm"])
+@pytest.mark.parametrize("d_x", [1, 2])
+def test_additive_g_is_its_unit_part_twice_bit_for_bit(d_x, law):
+    """On the (rows, 1, d) x (1, N, d) shapes simulate evaluates g on, every
+    shipped additive g is m(x1) + m(x2), with m's values those of m on the
+    (N, d) regressors that _outcome_matmul reads; product and the graphon
+    kinds have no unit part."""
+    x = make_dgp("theorem1", d_x=d_x, law=law).regressor_law.sample(np.random.default_rng(5), 70)
+    additive = [name for name, g in REGRESSION_FUNCS.items() if isinstance(g, Additive)]
+    assert sorted(additive) == ["constant", "linear_additive", "sin3_additive", "sin_additive", "zero"]
+    for name in additive:
+        spec = make_dgp("theorem1", name, d_x=d_x, law=law)
+        m = spec.unit_part
+        assert m is REGRESSION_FUNCS[name].m
+        for r0, r1 in ((0, 32), (32, 64), (64, 70)):
+            x1, x2 = x[r0:r1, None, :], x[None, :, :]
+            g = spec.g(x1, x2)
+            assert g.shape == (r1 - r0, 70), name
+            assert g.tobytes() == (m(x1) + m(x2)).tobytes() == (m(x)[r0:r1, None] + m(x)).tobytes(), name
+    for spec in (make_dgp("theorem1", "product", d_x=d_x, law=law),
+                 *(make_dgp(kind, d_x=d_x, law=law) for kind in DGP_KINDS if kind != "theorem1")):
+        assert spec.unit_part is None, spec.name
 
 
 @pytest.mark.parametrize("law", ["uniform", "truncnorm"])

@@ -11,10 +11,10 @@ import pytest
 
 from conftest import naive_nw
 from dyadreg import dgp, estimator
-from dyadreg.dgp import REGRESSION_FUNCS, make_dgp, simulate, uniform_law
+from dyadreg.dgp import REGRESSION_FUNCS, Additive, make_dgp, simulate, uniform_law
 from dyadreg.estimator import BandwidthRule, _nw, nw_estimate
 from dyadreg.kernels import make_kernel
-from dyadreg.rates import (RateExperiment, fit_exponent, rate_fit_json, rate_rows_csv,
+from dyadreg.rates import (RateExperiment, fit_exponent, product_grid, rate_fit_json, rate_rows_csv,
                            run_rate_experiment)
 
 # frozen output of a validated run (seed 314); guards against silent changes
@@ -183,96 +183,115 @@ def test_sup_norm_study_plans_its_grid_once_on_any_pool(monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-# --- the streamed pointwise path: dgp._outcome_matmul through estimator._nw ---
+# --- the streamed path of additive DGPs: dgp._outcome_matmul through estimator._nw ---
 
 _B = dgp._V_BLOCK_ROWS
 _STREAM_SIZES = (2, 3, _B, _B + 1, _B + 2, 65)
+_ADDITIVE = [name for name, g in REGRESSION_FUNCS.items() if isinstance(g, Additive)]
 
 
-def _streamed(spec, n, seed, kernel, h, w0):
-    return _nw(*dgp._outcome_matmul(spec, n, seed), kernel, h, [w0])
+def _streamed(spec, n, seed, kernel, h, grid):
+    return _nw(*dgp._outcome_matmul(spec, n, seed), kernel, h, grid)
 
 
 @pytest.mark.parametrize("kernel_id", ["gaussian", "epanechnikov"])
 @pytest.mark.parametrize("law", ["uniform", "truncnorm"])
 @pytest.mark.parametrize("d_x", [1, 2])
-def test_streamed_estimate_is_simulates_nw_estimate(monkeypatch, d_x, law, kernel_id):
-    """At the V walk's block edges, for every shipped g: f_hat and defined are
-    nw_estimate's bit for bit and g_hat is the pair-loop oracle's to rel
-    1e-12, also where the estimate is undefined."""
-    monkeypatch.setattr(dgp, "_G_BLOCK_SIZE", 1)  # g in _V_BLOCK_ROWS-row blocks too
+def test_streamed_estimate_is_simulates_nw_estimate(d_x, law, kernel_id):
+    """At the V walk's block edges, for every shipped additive g, on one point
+    and on product grids: f_hat and defined are nw_estimate's bit for bit, and
+    g_hat is nw_estimate's (and the pair-loop oracle's at N <= 3, and at N = 33
+    on one point) to rel 1e-12 but where f_hat cancels, also where the
+    estimate is undefined.
+
+    psi and f are each a sum less a sum (the pairs are all N^2 products less
+    the N diagonal ones), exact to rounding of the kernel's scale f_abs, times
+    the outcomes' scale for psi. Where one unit's diagonal product outweighs
+    the pairs, as at N = 2, g = psi / f is exact only to f_abs / f of
+    |g| + max |Y|, in nw_estimate as in the stream."""
     kernel = make_kernel(kernel_id, 2 * d_x)
     h = 0.3 if kernel_id == "gaussian" else 0.5
-    points = (np.full(2 * d_x, 0.5), np.full(2 * d_x, 40.0))  # no pair has weight at the second
+    f_abs = 1e-15 * kernel.k_max * h ** -kernel.dim
+    grids = ([np.full(2 * d_x, 0.5)], [np.full(2 * d_x, 40.0)],  # no pair has weight at the second
+             product_grid(-1.0, 1.0, 3, 2 * d_x), product_grid(-1.0, 1.0, 5, 2 * d_x))
     undefined = defined = 0
-    for g_name in REGRESSION_FUNCS:
+    for g_name in _ADDITIVE:
         spec = make_dgp("theorem1", g_name, d_x=d_x, law=law)
         for n in _STREAM_SIZES:
-            for w0 in points:
-                res = _streamed(spec, n, 11, kernel, h, w0)
-                data = simulate(spec, n, 11)
-                ref = nw_estimate(data, kernel, h, [w0])
-                assert res.f_hat.tobytes() == ref.f_hat.tobytes(), (g_name, n)
-                assert res.defined.tobytes() == ref.defined.tobytes(), (g_name, n)
-                assert res.g_hat == pytest.approx(ref.g_hat, rel=1e-12, nan_ok=True), (g_name, n)
-                if n <= 3 or (w0[0] == 0.5 and (n == _B + 1 or g_name == "product")):
-                    g_ref, f_ref = naive_nw(data, kernel, h, w0)
-                    assert res.f_hat[0] == pytest.approx(f_ref, rel=1e-12, abs=1e-300), (g_name, n)
-                    assert res.g_hat[0] == pytest.approx(g_ref, rel=1e-12, nan_ok=True), (g_name, n)
+            data = simulate(spec, n, 11)
+            y_max = np.abs(data.y).max()
+
+            def off(g, g_ref, f_ref):
+                return np.abs(g - g_ref) / (1e-12 * np.abs(g_ref) + f_abs / np.maximum(f_ref, f_abs)
+                                            * (np.abs(g_ref) + y_max))
+
+            for grid in grids:
+                res, ref = _streamed(spec, n, 11, kernel, h, grid), nw_estimate(data, kernel, h, grid)
+                assert res.f_hat.tobytes() == ref.f_hat.tobytes(), (g_name, n, len(grid))
+                assert res.defined.tobytes() == ref.defined.tobytes(), (g_name, n, len(grid))
+                assert np.all(off(res.g_hat, ref.g_hat, ref.f_hat)[res.defined] <= 1), (g_name, n, len(grid))
+                if n <= 3 or (n == _B + 1 and len(grid) == 1):
+                    for w, g_hat, f_hat in zip(res.grid, res.g_hat, res.f_hat):
+                        g_ref, f_ref = naive_nw(data, kernel, h, w)
+                        assert f_hat == pytest.approx(f_ref, rel=1e-12, abs=f_abs), (g_name, n, w)
+                        assert math.isnan(g_hat) == math.isnan(g_ref), (g_name, n, w)
+                        assert math.isnan(g_ref) or off(g_hat, g_ref, f_ref) <= 1, (g_name, n, w)
                 undefined += res.n_undefined
-                defined += int(res.defined[0])
+                defined += int(res.defined.sum())
     assert undefined and defined
 
 
 def test_streamed_path_refuses_what_simulate_refuses():
-    """A g that is NaN off the diagonal and a NaN regressor law raise
-    simulate's ValueError; a g that is NaN only on the diagonal, which no
-    outcome holds, and NaN weights, which make psi NaN, raise nothing."""
+    """NaN unit effects and a NaN regressor law raise simulate's ValueError, a
+    DGP with no unit part cannot be streamed, and NaN weights, which make psi
+    NaN, raise nothing."""
     kernel, w0 = make_kernel("gaussian", 2), np.array([0.5, 0.5])
-
-    def nan_above_half(x1, x2):
-        return np.where(x1[..., 0] + 0 * x2[..., 0] > 0.5, np.nan, 1.0)
-
-    def nan_on_the_diagonal(x1, x2):
-        return np.where(x1[..., 0] == x2[..., 0], np.nan, 1.0)
-
-    spec = replace(make_dgp("theorem1"), g=nan_above_half)
-    for draw in (simulate, lambda *args: _streamed(*args, kernel, 0.3, w0)):
+    draws = (simulate, lambda *args: _streamed(*args, kernel, 0.3, [w0]))
+    spec = replace(make_dgp("theorem1"), g=Additive(lambda x: np.where(x[..., 0] > 0.5, np.nan, 0.5)))
+    for draw in draws:
         with pytest.raises(ValueError, match="off-diagonal outcomes must be finite"):
             draw(spec, 70, 1)
     nan_law = replace(uniform_law(1), sample=lambda rng, n: np.full((n, 1), np.nan))
     for g_name in ("sin_additive", "zero"):  # the zero g leaves every outcome finite
         spec = replace(make_dgp("theorem1", g_name), regressor_law=nan_law)
-        for draw in (simulate, lambda *args: _streamed(*args, kernel, 0.3, w0)):
+        for draw in draws:
             with pytest.raises(ValueError, match="must be finite"):
                 draw(spec, 70, 1)
-    spec = replace(make_dgp("theorem1"), g=nan_on_the_diagonal)
-    for n in (3, 70):
-        res, ref = _streamed(spec, n, 1, kernel, 0.3, w0), nw_estimate(simulate(spec, n, 1), kernel, 0.3, [w0])
-        assert res.g_hat == pytest.approx(ref.g_hat, rel=1e-12)
-    spec = make_dgp("theorem1")
-    res = _streamed(spec, 70, 1, kernel, 0.3, [np.nan, 0.5])
+    sin = make_dgp("theorem1")
+    for spec in (make_dgp("theorem1", "product"), make_dgp("threshold_graphon"),
+                 replace(sin, g=lambda x1, x2: sin.g(x1, x2))):  # a swapped g leaves no unit part behind
+        with pytest.raises(ValueError, match="is not additive"):
+            dgp._outcome_matmul(spec, 70, 1)
+    res = _streamed(sin, 70, 1, kernel, 0.3, [[np.nan, 0.5]])
     assert res.n_undefined == 1 and math.isnan(res.g_hat[0])
 
 
 def test_streamed_replication_allocates_under_a_quarter_of_one_n_by_n_array():
-    spec, kernel, n = make_dgp("theorem1", "sin_additive"), make_kernel("gaussian", 2), 600
-    _streamed(spec, n, 1, kernel, 0.2, [0.5, 0.5])
-    tracemalloc.start()
-    try:
-        _streamed(spec, n, 1, kernel, 0.2, [0.5, 0.5])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * 8 * n * n
+    """On one point and on the 2401-point grid of a d_x=2 sup-norm study. On
+    the grid the weights a and b and the product Y b, N x 49 each, take 0.245
+    of an N x N array at N = 600 by themselves, and nw_estimate holds them
+    too: the quarter bounds what the stream holds beside them."""
+    n = 600
+    for d_x, grid in ((1, [[0.5, 0.5]]), (2, product_grid(0.2, 0.8, 7, 4))):
+        spec, kernel = make_dgp("theorem1", "sin_additive", d_x=d_x), make_kernel("gaussian", 2 * d_x)
+        contraction = 3 * 8 * n * 7 ** d_x if len(grid) > 1 else 0
+        _streamed(spec, n, 1, kernel, 0.2, grid)
+        tracemalloc.start()
+        try:
+            _streamed(spec, n, 1, kernel, 0.2, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - contraction < 0.25 * 8 * n * n, d_x
 
 
-@pytest.mark.parametrize("kind, mode, simulated", [
-    ("theorem1", "pointwise", False),
-    ("threshold_graphon", "pointwise", True),
-    ("theorem1", "sup-norm", True),
+@pytest.mark.parametrize("kind, g_name, mode, simulated", [
+    ("theorem1", "sin_additive", "pointwise", 0),
+    ("theorem1", "sin_additive", "sup-norm", 0),
+    ("theorem1", "product", "pointwise", 200),
+    ("threshold_graphon", "sin_additive", "pointwise", 200),
 ])
-def test_only_pointwise_studies_without_a_graphon_skip_simulate(monkeypatch, kind, mode, simulated):
+def test_only_additive_dgps_skip_simulate(monkeypatch, kind, g_name, mode, simulated):
     calls = []
 
     def counted(*args):
@@ -280,8 +299,8 @@ def test_only_pointwise_studies_without_a_graphon_skip_simulate(monkeypatch, kin
         return simulate(*args)
 
     monkeypatch.setattr(dgp, "simulate", counted)
-    exp = RateExperiment(dgp=make_dgp(kind, "sin_additive"), kernel_id="gaussian",
+    exp = RateExperiment(dgp=make_dgp(kind, g_name), kernel_id="gaussian",
                          rule=BandwidthRule("pointwise-optimal", 0.8), mode=mode, n_list=(20, 30, 40, 50),
                          reps=50, seed=3, w0=(0.5, 0.5), grid_steps=3)
     assert run_rate_experiment(exp).rows[0].n_excluded_reps == 0
-    assert len(calls) == (200 if simulated else 0)
+    assert len(calls) == simulated
