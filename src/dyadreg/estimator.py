@@ -190,9 +190,8 @@ def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid,
     n, d = x.shape
     (u, p, u_codes), (v, q, v_codes) = _grid_halves(grid, d)
     if len(v) * (n + len(u)) < len(grid) * (n + 1):
-        b = _weights(x, kernel, h, v, v_codes)
-        y_b, a = y_matmul(b), _weights(x, kernel, h, u, u_codes)  # a after Y b: a stream does not hold both
-        psi = (a.T @ y_b)[p, q]
+        a, b = _weights(x, kernel, h, u, u_codes), _weights(x, kernel, h, v, v_codes)
+        psi = (a.T @ y_matmul(b))[p, q]
         f = (np.outer(a.sum(axis=0), b.sum(axis=0)) - a.T @ b)[p, q]
     else:
         a, b = _weights(x, kernel, h, grid[:, :d]), _weights(x, kernel, h, grid[:, d:])
