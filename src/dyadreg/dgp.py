@@ -9,11 +9,11 @@ minimax bounds are stated for. Latent draws come from Philox streams keyed by
 and `_outcomes` turns V into Y a block of rows at a time. `_pair_blocks`
 draws the same outcomes as blocks of pairs (i, j > i), through the same
 `_outcomes`, so a caller that only sums over pairs holds no N x N matrix:
-variance_dominance feeds them to the one Hoeffding accumulator, which
-hoeffding_decompose feeds with blocks of a dataset's Y. An additive DGP
-(no graphon, g = m(x1) + m(x2)) has outcomes c_i + c_j + V_ij, c = m(X) + U:
-`_outcome_matmul` gives Y b from c in closed form and V from the same walk,
-with no N x N matrix, and rate studies of it draw their replications there.
+variance_dominance splits a graphon or product DGP's replications there. An
+additive DGP (no graphon, g = m(x1) + m(x2)) has outcomes c_i + c_j + V_ij,
+c = m(X) + U (`_additive_units`): its rate studies take Y b (`_outcome_matmul`)
+and its dominance studies the Hoeffding sums from c in closed form, through
+the off-diagonal sums of `_off_diagonal_sums`, and one walk of the V draw.
 `replicate` runs the replications of each N on a thread pool; each has its
 own seed, so its results do not depend on the pool size.
 
@@ -316,16 +316,15 @@ def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     return DyadicDataset._adopt(x, y)
 
 
-def _v_pair_blocks(seed: int, n_units: int, shared: bool):
+def _v_pair_blocks(seed: int, n_units: int):
     """The _v_blocks walk with each block scattered by rows: (r0, r1, up, low)
     with up[i - r0, k] = V_ij and low[i - r0, k] = V_ji for j = r0 + k > i,
     and zero in the first r1 - r0 columns where j <= i. up and low hold until
-    the next block; the V block itself is dropped before the yield, so with
-    shared=False it is freed there."""
+    the next block, which rewrites them; each V block is freed before the yield."""
     rows = min(_V_BLOCK_ROWS, n_units - 1)
     up_array, low_array = np.empty(rows * n_units), np.empty(rows * n_units)
     pairs = np.arange(n_units) > np.arange(rows)[:, None]  # k > i - r0: column r0 + k holds a pair's V
-    for r0, r1, vb in _v_blocks(seed, n_units, shared):
+    for r0, r1, vb in _v_blocks(seed, n_units, shared=False):
         m, w = r1 - r0, n_units - r0
         up, low = up_array[:m * w].reshape(m, w), low_array[:m * w].reshape(m, w)
         up[:, :m] = low[:, :m] = 0.0
@@ -352,7 +351,7 @@ def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
 
     def blocks():
         square = np.tri(min(_V_BLOCK_ROWS, n_units - 1), dtype=bool)  # j <= i in a block's first columns
-        for r0, r1, up, low in _v_pair_blocks(seed, n_units, shared=False):
+        for r0, r1, up, low in _v_pair_blocks(seed, n_units):
             m = r1 - r0
             scratch = np.empty(((m + 1) // 2, n_units - r0))
             for p0 in range(0, m, len(scratch)):
@@ -370,17 +369,24 @@ def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
     return x, blocks()
 
 
-def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
-    """(x, y_matmul): the regressors of simulate(spec, n_units, seed) and the
-    function taking weights b (N x M) to Y @ b for that dataset's Y, with no
-    N x N matrix. Only for a DGP with a unit part m: Y_ij = c_i + c_j + V_ij,
-    c = m(X) + U, gives c_i (sum b - b_i) + (c . b - c_i b_i), the row of each
-    column's largest |b_i| summing the rest directly (the difference cancels
-    there), plus each _v_pair_blocks block's rows against b and its columns
-    (the V_ji) against b's rows of the block, to rounding of Y @ b. Non-finite
-    inputs raise simulate's ValueError. Temporaries are a few N x M arrays and
-    the walk's blocks: at N = 600 a replication peaks at 0.23 x 8 N^2 bytes
-    on one point, 0.48 on a 2401-point d_x = 2 grid (M = 49) with weights."""
+def _off_diagonal_sums(v: np.ndarray) -> np.ndarray:
+    """J v for v (N x M): (J v)_i = the sum of v_j over j != i, per column.
+    It is sum v - v_i, but the row of each column's largest |v_i| takes the
+    sum of the column's other entries, since there the difference cancels."""
+    out = np.abs(v)
+    top, cols = out.argmax(axis=0), np.arange(v.shape[1])
+    out[...] = v
+    out[top, cols] = 0.0
+    rest = out.sum(axis=0)
+    np.subtract(rest + v[top, cols], v, out=out)
+    out[top, cols] = rest
+    return out
+
+
+def _additive_units(spec: DgpSpec, n_units: int, seed: int):
+    """(x, c): the regressors of simulate(spec, n_units, seed) and c = m(X) + U,
+    for a DGP with a unit part m, whose outcomes are Y_ij = c_i + c_j + V_ij.
+    Non-finite c or x raise simulate's ValueError, in simulate's order."""
     m = spec.unit_part
     if m is None:
         raise ValueError(f"dgp {spec.name!r} is not additive: it has no unit part m")
@@ -390,15 +396,22 @@ def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
         raise ValueError("off-diagonal outcomes must be finite")
     if not np.all(np.isfinite(x)):
         raise ValueError("regressors must be finite")
+    return x, c
+
+
+def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
+    """(x, y_matmul): the regressors of simulate(spec, n_units, seed) and the
+    function taking weights b (N x M) to Y @ b for that dataset's Y, with no
+    N x N matrix. Only for an additive DGP: c∘(J b) + J(c∘b) (_additive_units,
+    _off_diagonal_sums) plus each V block's rows against b and its columns
+    against b's rows of the block, to rounding. At N = 600 a replication peaks
+    at 0.23 x 8 N^2 bytes on one point, 0.47 on a 2401-point d_x = 2 grid."""
+    x, c = _additive_units(spec, n_units, seed)
 
     def y_matmul(b: np.ndarray) -> np.ndarray:
-        out = c[:, None] * (b.sum(axis=0) - b) + (c @ b - c[:, None] * b)
-        top, cols = np.abs(b).argmax(axis=0), np.arange(b.shape[1])
-        rest = b.copy()
-        rest[top, cols] = 0.0
-        out[top, cols] = c[top] * rest.sum(axis=0) + c @ rest
-        del rest
-        for r0, r1, up, low in _v_pair_blocks(seed, n_units, shared=True):
+        out = _off_diagonal_sums(c[:, None] * b)
+        out += c[:, None] * _off_diagonal_sums(b)
+        for r0, r1, up, low in _v_pair_blocks(seed, n_units):
             out[r0:r1] += up @ b[r0:]
             tail = out[r0:].T  # out[r0:] += low.T @ b[r0:r1] in place: dgemm writes into a Fortran-ordered c
             if dgemm(1.0, b[r0:r1].T, low.T, 1.0, tail, trans_b=True, overwrite_c=True) is not tail:

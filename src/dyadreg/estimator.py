@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import DyadicDataset
+from .dgp import DyadicDataset, _off_diagonal_sums
 from .kernels import KernelSpec
 
 __all__ = [
@@ -178,7 +178,8 @@ def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid,
                y_matmul) -> tuple[np.ndarray, np.ndarray]:
     """Pair averages (psi, f) over the grid for regressors x (N x d_x): psi
     contracts the outcome matrix Y (zero diagonal) as a^T (Y b), with Y b =
-    y_matmul(b), f the all-ones matrix off the diagonal.
+    y_matmul(b), f the all-ones matrix off the diagonal, as a^T (J b) with J
+    dgp._off_diagonal_sums, so no unit's diagonal product cancels.
 
     With G grid points whose halves take G1 and G2 distinct values, the whole
     G1 x G2 matrix over the distinct halves costs N^2 G2 + N G1 G2 flops, the
@@ -192,11 +193,11 @@ def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid,
     if len(v) * (n + len(u)) < len(grid) * (n + 1):
         a, b = _weights(x, kernel, h, u, u_codes), _weights(x, kernel, h, v, v_codes)
         psi = (a.T @ y_matmul(b))[p, q]
-        f = (np.outer(a.sum(axis=0), b.sum(axis=0)) - a.T @ b)[p, q]
+        f = (a.T @ _off_diagonal_sums(b))[p, q]
     else:
         a, b = _weights(x, kernel, h, grid[:, :d]), _weights(x, kernel, h, grid[:, d:])
         psi = np.einsum("ng,ng->g", a, y_matmul(b))
-        f = a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)
+        f = np.einsum("ng,ng->g", a, _off_diagonal_sums(b))
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
     return psi * scale, f * scale
 

@@ -63,6 +63,19 @@ def test_seed_determinism_bit_identical():
     assert not np.array_equal(d1.y, d3.y, equal_nan=True)
 
 
+def test_off_diagonal_sums_are_the_sums_over_the_other_rows():
+    """J v is, per column, the sum of the other rows' entries: to rel 1e-12 of
+    the direct sum even where one entry outweighs the rest of its column."""
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((7, 4))
+    v[2, 1], v[5, 3] = 1e9, -3e12  # sum v - v_i cancels in these rows
+    got = dgp._off_diagonal_sums(v)
+    for i in range(7):
+        want = np.delete(v, i, axis=0).sum(axis=0)
+        assert got[i] == pytest.approx(want, rel=1e-12, abs=0), i
+    assert dgp._off_diagonal_sums(v[:1]).tolist() == [[0.0] * 4]
+
+
 _B = dgp._V_BLOCK_ROWS
 # 65 and 129 straddle 64-row blocks, whatever _B is
 _ORACLE_SIZES = tuple(sorted({2, 3, _B - 1, _B, _B + 1, _B + 2, 2 * _B + 1, 65, 129, 300}))

@@ -9,7 +9,7 @@ from conftest import f_hat_w, naive_f_hat, naive_nw, naive_pair_average, naive_p
 
 from dyadreg import estimator
 from dyadreg.decomposition import hoeffding_decompose
-from dyadreg.dgp import DyadicDataset, make_dgp, replication_seed, simulate
+from dyadreg.dgp import DyadicDataset, _off_diagonal_sums, make_dgp, replication_seed, simulate
 from dyadreg.estimator import BandwidthRule, bandwidth, _weights, kernel_scale, nw_estimate
 from dyadreg.kernels import KERNEL_IDS, make_kernel
 from dyadreg.rates import product_grid
@@ -84,6 +84,19 @@ def test_f_hat_n3_hand_case():
     h = 1.0
     assert f_hat_w(data, k, h, [0.5, 0.5]) == pytest.approx(1.0, rel=1e-12)
     assert f_hat_w(data, k, 0.5, [0.5, 0.5]) == pytest.approx(0.5 ** -2, rel=1e-12)
+
+
+def test_density_sum_does_not_cancel_where_one_unit_dominates():
+    """At N = 2 each unit's diagonal product a_i b_i outweighs the one pair,
+    so f summed over all products less the diagonal ones missed the pair loop
+    by 2.6e-9 relative at (-1, -1, -1, -1) and 5.1e-12 at (-0.5, 0, -0.5, 0)."""
+    data = simulate(make_dgp("theorem1", "zero", d_x=2, law="truncnorm"), 2, 11)
+    k = make_kernel("gaussian", 4)
+    for w in ([-1.0, -1.0, -1.0, -1.0], [-0.5, 0.0, -0.5, 0.0]):
+        res = nw_estimate(data, k, 0.3, [w])
+        g_ref, f_ref = naive_nw(data, k, 0.3, w)
+        assert res.f_hat[0] == pytest.approx(f_ref, rel=1e-12, abs=0), w
+        assert res.g_hat[0] == pytest.approx(g_ref, rel=1e-12, abs=0, nan_ok=True), w
 
 
 def test_f_hat_outside_data_range():
@@ -271,7 +284,7 @@ def _point_by_point_estimate(data, kernel, h, grid):
     n = data.n_units
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
     psi = np.einsum("ng,ng->g", a, data.y @ b) * scale
-    f = (a.sum(axis=0) * b.sum(axis=0) - np.einsum("ng,ng->g", a, b)) * scale
+    f = np.einsum("ng,ng->g", a, _off_diagonal_sums(b)) * scale
     defined = f > 1e-12 * kernel.k_max * kernel_scale(h, kernel.dim)
     return np.where(defined, psi / np.where(defined, f, 1.0), np.nan), f, defined
 

@@ -195,10 +195,10 @@ def _streamed(spec, n, seed, kernel, h, grid):
 
 
 def _near_the_pair_loop(res, data, kernel, h):
-    """Each grid point of res is the pair-loop oracle's to rel 1e-12 but for a
-    few roundings of the scale s of all N^2 products: f and psi are each a sum
-    over all of them less the N diagonal ones, which cancels where one unit's
-    diagonal product outweighs the pairs, as at N = 2 (nw_estimate too)."""
+    """Each grid point of res is the pair-loop oracle's to rel 1e-12: f, the
+    sum of a_i (J b)_i over dgp._off_diagonal_sums' J b, outright; g_hat but
+    for a few roundings of the scale s of all N^2 products, since psi sums
+    outcomes of both signs."""
     n, d_x = data.x.shape
     eps, y_max = np.finfo(float).eps, np.abs(data.y).max()
     a, b = (np.prod(kernel.factor.fn((data.x[:, None, :] - half) / h), axis=-1)
@@ -206,7 +206,7 @@ def _near_the_pair_loop(res, data, kernel, h):
     scales = a.sum(axis=0) * b.sum(axis=0) * estimator.kernel_scale(h, kernel.dim) / (n * (n - 1))
     for w, g_hat, f_hat, s in zip(res.grid, res.g_hat, res.f_hat, scales):
         g_ref, f_ref = naive_nw(data, kernel, h, w)
-        assert abs(f_hat - f_ref) <= 1e-12 * f_ref + 4 * eps * s, w
+        assert abs(f_hat - f_ref) <= 1e-12 * f_ref, w
         assert math.isnan(g_hat) == math.isnan(g_ref), w
         assert math.isnan(g_ref) or abs(g_hat - g_ref) <= 1e-12 * abs(g_ref) + 4 * eps * s / f_ref * (
             abs(g_ref) + y_max), w
