@@ -5,10 +5,9 @@ with U, V standard normal. Every DGP's g(x1, x2) is E[Y_ij | X_i = x1, X_j = x2]
 Without a graphon h, Y_ij = g(X_i, X_j) + U_i + U_j + V_ij: the model the
 minimax bounds are stated for. Latent draws come from Philox streams keyed by
 (seed, role) so a dataset is bit-identical given (spec, n_units, seed).
-`simulate` scatters V into Y in row blocks, the one V stream read in order,
-and `_outcomes` turns V into Y a block of rows at a time. `_pair_blocks`
-draws the same outcomes as blocks of pairs (i, j > i), through the same
-`_outcomes`, so a caller that only sums over pairs holds no N x N matrix:
+Outcomes are formed in one place, `_pair_blocks`, as blocks of pairs
+(i, j > i) in the order of the one V stream. `simulate` writes them into Y;
+a caller that only sums over pairs takes them with no N x N matrix:
 variance_dominance splits a graphon or product DGP's replications there. An
 additive DGP (no graphon, g = m(x1) + m(x2)) has outcomes c_i + c_j + V_ij,
 c = m(X) + U (`_additive_units`): its rate studies take Y b (`_outcome_matmul`)
@@ -253,66 +252,43 @@ def _units(spec: DgpSpec, n_units: int, seed: int):
     return x, _stream(seed, _ROLE_U).standard_normal(n_units)
 
 
-_V_BLOCK_ROWS = 32  # a V block and its masked add take under a quarter of Y from N = 600
+_V_BLOCK_ROWS = 32  # a block of pairs and its outcomes take under a quarter of Y from N = 600
 
 
-def _v_blocks(seed: int, n_units: int, shared: bool = True):
+def _v_blocks(seed: int, n_units: int):
     """V in consecutive row blocks (r0, r1, vb): vb[p] = (V_ij, V_ji) for the
     pairs (i, j > i) of rows r0 <= i < r1, row by row. One Philox stream read
     in order, so the blocks concatenate to one draw of every pair at once.
-    If shared, every block is drawn into one array: vb holds until the next is
-    drawn. Otherwise each block is a new array, freed once the caller drops it."""
+    Each block is a new array, freed once the caller drops it."""
     rng = _stream(seed, _ROLE_V)
-    array = np.empty((min(_V_BLOCK_ROWS, n_units - 1) * (n_units - 1), 2)) if shared else None
     for r0 in range(0, n_units - 1, _V_BLOCK_ROWS):
         r1 = min(r0 + _V_BLOCK_ROWS, n_units - 1)
-        n_pairs = (r1 - r0) * (2 * n_units - r0 - r1 - 1) // 2
-        yield r0, r1, rng.standard_normal(out=array[:n_pairs]) if shared else rng.standard_normal((n_pairs, 2))
+        yield r0, r1, rng.standard_normal(((r1 - r0) * (2 * n_units - r0 - r1 - 1) // 2, 2))
 
 
 def simulate_latents(spec: DgpSpec, n_units: int, seed: int):
     """Latent draws (x, u, v_pairs); v_pairs[p] = (V_ij, V_ji) for the p-th
-    unordered pair (i < j) in lexicographic order: the V blocks that simulate
-    adds into Y, concatenated."""
+    unordered pair (i < j) in lexicographic order: the V blocks of simulate's
+    outcome blocks, concatenated."""
     x, u = _units(spec, n_units, seed)
-    return x, u, np.concatenate([vb.copy() for _, _, vb in _v_blocks(seed, n_units)])
-
-
-def _outcomes(spec: DgpSpec, x1, x2, u1, u2, v: np.ndarray, scratch: np.ndarray):
-    """Turn v, a block of V_ij, into the outcomes Y_ij of its pairs in place,
-    given the latents of i (x1, u1) and of j (x2, u2), which broadcast to v's
-    shape: ((g + U_i) + U_j) + V_ij, or the graphon h(X_i, X_j, U_i, U_j, V_ij).
-    scratch, of v's shape, takes g + U_i + U_j. simulate and _pair_blocks both
-    assemble outcomes here, so they agree bit for bit."""
-    if spec.graphon is not None:
-        v[...] = spec.graphon(x1, x2, u1, u2, v)
-        return
-    # out= makes the block v's shape even where g's result only broadcasts to it
-    np.add(spec.g(x1, x2), u1, out=scratch)
-    scratch += u2
-    v += scratch  # V + (g + U_i + U_j) is the same sum bit for bit, since IEEE addition commutes
+    return x, u, np.concatenate([vb for _, _, vb in _v_blocks(seed, n_units)])
 
 
 def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     """Draw a dyadic dataset; deterministic in (spec, n_units, seed).
 
-    V is drawn in row blocks and scattered into a zero matrix, the one V
-    stream read in order. _outcomes then turns that matrix into Y one block
-    of rows at a time, and the dataset takes Y without a copy."""
-    x, u = _units(spec, n_units, seed)
+    The _pair_blocks walk written into a zero Y, each block's up above the
+    diagonal and its low below. Every outcome is copied once, not added to a
+    zero, so Y keeps its bits, a negative zero's sign too. The dataset takes Y
+    without a copy."""
+    x, blocks = _pair_blocks(spec, n_units, seed)
     y = np.zeros((n_units, n_units))
-    for r0, r1, vb in _v_blocks(seed, n_units):
-        up = np.arange(n_units) > np.arange(r0, r1)[:, None]
-        y[r0:r1][up] = vb[:, 0]
-        y.T[r0:r1][up] = vb[:, 1]
-    # the V block array goes before the row blocks of outcomes come, so the peak is Y and
-    # one block
-    del vb
-    block = np.empty((min(_V_BLOCK_ROWS, n_units), n_units))
-    for r0 in range(0, n_units, _V_BLOCK_ROWS):
-        r1 = min(r0 + _V_BLOCK_ROWS, n_units)
-        _outcomes(spec, x[r0:r1, None, :], x[None, :, :], u[r0:r1, None], u[None, :], y[r0:r1],
-                  block[:r1 - r0])
+    below = np.tri(min(_V_BLOCK_ROWS, n_units - 1), k=-1, dtype=bool)  # where a block's square of Y takes low
+    for r0, r1, _, up, low in blocks:
+        m = r1 - r0
+        y[r0:r1, r0:] = up
+        y[r1:, r0:r1] = low[:, m:].T
+        np.copyto(y[r0:r1, r0:r1], low[:, :m].T, where=below[:m, :m])
     return DyadicDataset._adopt(x, y)
 
 
@@ -324,7 +300,7 @@ def _v_pair_blocks(seed: int, n_units: int):
     rows = min(_V_BLOCK_ROWS, n_units - 1)
     up_array, low_array = np.empty(rows * n_units), np.empty(rows * n_units)
     pairs = np.arange(n_units) > np.arange(rows)[:, None]  # k > i - r0: column r0 + k holds a pair's V
-    for r0, r1, vb in _v_blocks(seed, n_units, shared=False):
+    for r0, r1, vb in _v_blocks(seed, n_units):
         m, w = r1 - r0, n_units - r0
         up, low = up_array[:m * w].reshape(m, w), low_array[:m * w].reshape(m, w)
         up[:, :m] = low[:, :m] = 0.0
@@ -335,16 +311,17 @@ def _v_pair_blocks(seed: int, n_units: int):
 
 def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
     """(x, blocks): the regressors and outcomes of simulate(spec, n_units, seed),
-    bit for bit, with no N x N matrix. blocks yields (r0, r1, r0, up, low) in
-    the _v_blocks walk: up[i - r0, k] = Y_ij and low[i - r0, k] = Y_ji for
-    j = r0 + k > i, and zero elsewhere. up and low hold until the next block.
-    Non-finite regressors or outcomes raise ValueError, as simulate's dataset
-    does.
+    with no N x N matrix. blocks yields (r0, r1, r0, up, low) in the _v_blocks
+    walk: up[i - r0, k] = Y_ij and low[i - r0, k] = Y_ji for j = r0 + k > i,
+    and zero elsewhere; up and low hold until the next block. Y_ij is
+    ((g + U_i) + U_j) + V_ij or the graphon h(X_i, X_j, U_i, U_j, V_ij).
+    Non-finite regressors raise ValueError before any outcome is formed, then
+    non-finite outcomes.
 
-    Beside up and low, each V block is a new array, dropped before _outcomes
-    runs, and _outcomes runs on half a block's rows at a time: g's result and
-    its scratch are then half a block each, so the peak stays near four
-    block-sized arrays (about 0.22 x 8 N^2 bytes at N = 600)."""
+    Beside up and low, each V block is a new array, freed before the outcomes
+    are formed, and they are formed on half a block's rows at a time: g's
+    result and its scratch are then half a block each, so the peak stays near
+    four block-sized arrays (about 0.22 x 8 N^2 bytes at N = 600)."""
     x, u = _units(spec, n_units, seed)
     if not np.all(np.isfinite(x)):
         raise ValueError("regressors must be finite")
@@ -356,11 +333,16 @@ def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
             scratch = np.empty(((m + 1) // 2, n_units - r0))
             for p0 in range(0, m, len(scratch)):
                 p1 = min(p0 + len(scratch), m)
-                i, j = slice(r0 + p0, r0 + p1), slice(r0, None)
+                i, j, s = slice(r0 + p0, r0 + p1), slice(r0, None), scratch[:p1 - p0]
                 x_i, x_j, u_i, u_j = x[i, None, :], x[None, j, :], u[i, None], u[None, j]
-                _outcomes(spec, x_i, x_j, u_i, u_j, up[p0:p1], scratch[:p1 - p0])
-                _outcomes(spec, x_j, x_i, u_j, u_i, low[p0:p1], scratch[:p1 - p0])
-            del scratch
+                for v, x1, x2, u1, u2 in ((up[p0:p1], x_i, x_j, u_i, u_j), (low[p0:p1], x_j, x_i, u_j, u_i)):
+                    if spec.graphon is not None:
+                        v[...] = spec.graphon(x1, x2, u1, u2, v)
+                    else:  # out= makes s v's shape even where g's result only broadcasts to it
+                        np.add(spec.g(x1, x2), u1, out=s)
+                        s += u2
+                        v += s  # V + (g + U_i + U_j) is the same sum bit for bit, since IEEE addition commutes
+            del scratch, s  # s is a view of scratch, which would otherwise outlive the yield
             up[:, :m][square[:m, :m]] = low[:, :m][square[:m, :m]] = 0.0
             if not (_all_finite(up) and _all_finite(low)):
                 raise ValueError("off-diagonal outcomes must be finite")
@@ -391,11 +373,11 @@ def _additive_units(spec: DgpSpec, n_units: int, seed: int):
     if m is None:
         raise ValueError(f"dgp {spec.name!r} is not additive: it has no unit part m")
     x, u = _units(spec, n_units, seed)
-    c = m(x) + u
-    if not np.all(np.isfinite(c)):  # simulate's dataset checks its outcomes first, then x
-        raise ValueError("off-diagonal outcomes must be finite")
     if not np.all(np.isfinite(x)):
         raise ValueError("regressors must be finite")
+    c = m(x) + u
+    if not np.all(np.isfinite(c)):
+        raise ValueError("off-diagonal outcomes must be finite")
     return x, c
 
 

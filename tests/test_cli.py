@@ -48,9 +48,9 @@ def test_roundtrip_estimate_matches_in_memory(tmp_path):
         rows = [line.split(",") for line in fh.read().strip().splitlines()[1:]]
     assert len(rows) == 16
     for row, g_exp, f_exp, d_exp in zip(rows, expect.g_hat, expect.f_hat, expect.defined):
-        assert float(row[2]) == pytest.approx(f_exp, rel=1e-12)
+        assert float(row[2]) == pytest.approx(f_exp, rel=1e-12, abs=0)
         if d_exp:
-            assert float(row[3]) == pytest.approx(g_exp, rel=1e-12)
+            assert float(row[3]) == pytest.approx(g_exp, rel=1e-12, abs=0)
             assert row[4] == "1"
         else:
             assert row[3] == "" and row[4] == "0"

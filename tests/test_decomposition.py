@@ -79,9 +79,9 @@ def test_split_matches_pair_loop_oracle(kernel_id, tau, n):
     w = np.array([0.3, 0.7])     # a != b: the two orientations of a pair get different weights
     parts = hoeffding_decompose(data, k, 0.5, tau, w)
     statistic, var1, var2 = naive_hoeffding(data, k, 0.5, tau, w)
-    assert parts.statistic == pytest.approx(statistic, rel=1e-12)
-    assert parts.var1_hat == pytest.approx(var1, rel=1e-12)
-    assert parts.var2_hat == pytest.approx(var2, rel=1e-12)
+    assert parts.statistic == pytest.approx(statistic, rel=1e-12, abs=0)
+    assert parts.var1_hat == pytest.approx(var1, rel=1e-12, abs=0)
+    assert parts.var2_hat == pytest.approx(var2, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("tau", [math.inf, 1.5])

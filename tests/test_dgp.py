@@ -134,6 +134,14 @@ def test_simulate_is_bitwise_the_one_shot_oracle(monkeypatch, kind, d_x, law):
                 assert a.tobytes() == b.tobytes(), (n, seed)
 
 
+def test_simulate_keeps_the_sign_of_a_graphons_zero_outcomes():
+    spec = replace(make_dgp("noiseless", "zero"), graphon=lambda x1, x2, u1, u2, v: np.where(v > 0, -0.0, v))
+    for n in (2, _B + 2, 65):
+        got, want = simulate(spec, n, 3), naive_simulate(spec, n, 3)
+        assert np.signbit(want.y[want.y == 0.0]).any(), n
+        assert got.y.tobytes() == want.y.tobytes(), n
+
+
 def _pair_noise(x1, x2, u1, u2, v):
     return v
 
@@ -173,6 +181,8 @@ def test_pair_blocks_refuse_non_finite_outcomes_and_regressors():
     for draw in (simulate, dgp._pair_blocks):
         with pytest.raises(ValueError, match="must be finite"):
             draw(spec, 40, 1)
+    with pytest.raises(ValueError, match="^regressors must be finite$"):  # though g(NaN) is NaN too
+        simulate(spec, 40, 1)
 
 
 def test_diagonal_is_structurally_absent():
@@ -181,8 +191,12 @@ def test_diagonal_is_structurally_absent():
     assert np.all(np.isfinite(data.y_filled()))
 
 
-def test_simulate_peak_memory_is_one_outcome_matrix_and_blocks():
-    spec = make_dgp("theorem1", "sin_additive")
+@pytest.mark.parametrize("kind, g_name, d_x", [("theorem1", "sin_additive", 1), ("theorem1", "product", 2),
+                                               ("sigmoid_graphon", "sin_additive", 2),
+                                               ("threshold_graphon", "sin_additive", 1),
+                                               ("noiseless", "sin_additive", 1)])
+def test_simulate_peak_memory_is_one_outcome_matrix_and_blocks(kind, g_name, d_x):
+    spec = make_dgp(kind, g_name, d_x=d_x)
     n = 600
     simulate(spec, n, 1)
     tracemalloc.start()
@@ -343,7 +357,7 @@ def test_true_g_examples():
     spec = make_dgp("theorem1", "sin_additive")
     assert true_g_on_grid(spec, [[0.0, 0.0]])[0] == 0.0
     spec_prod = make_dgp("theorem1", "product")
-    assert true_g_on_grid(spec_prod, [[0.5, 0.2]])[0] == pytest.approx(0.1, rel=1e-12)
+    assert true_g_on_grid(spec_prod, [[0.5, 0.2]])[0] == pytest.approx(0.1, rel=1e-12, abs=0)
 
 
 def test_true_g_threshold_graphon_normal_cdf():

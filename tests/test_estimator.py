@@ -18,20 +18,20 @@ from dyadreg.rates import product_grid
 def test_bandwidth_uniform_optimal():
     rule = BandwidthRule("uniform-optimal", 1.0, beta=2.0, d_x=1)
     expect = (math.log(100) / 100) ** 0.2
-    assert bandwidth(rule, 100) == pytest.approx(expect, rel=1e-12)
+    assert bandwidth(rule, 100) == pytest.approx(expect, rel=1e-12, abs=0)
     assert expect == pytest.approx(0.5403, abs=5e-5)
 
 
 def test_bandwidth_fixed_and_pointwise():
     assert bandwidth(BandwidthRule("fixed", 0.3), 1000) == 0.3
     rule = BandwidthRule("pointwise-optimal", 1.0, beta=2.0, d_x=1)
-    assert bandwidth(rule, 100) == pytest.approx(100 ** -0.2, rel=1e-12)
+    assert bandwidth(rule, 100) == pytest.approx(100 ** -0.2, rel=1e-12, abs=0)
     assert 100 ** -0.2 == pytest.approx(0.3981, abs=5e-5)
 
 
 def test_bandwidth_custom_exponent_and_validation():
     rule = BandwidthRule("custom-exponent", 2.0, exponent=0.5)
-    assert bandwidth(rule, 100) == pytest.approx(0.2, rel=1e-12)
+    assert bandwidth(rule, 100) == pytest.approx(0.2, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         BandwidthRule("custom-exponent", 1.0)
     with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ def test_psi_hat_n2_hand_formula():
     k12 = phi((0.2 - 0.3) / h) * phi((0.8 - 0.6) / h) / h**2
     k21 = phi((0.8 - 0.3) / h) * phi((0.2 - 0.6) / h) / h**2
     expect = (1.5 * k12 + (-0.7) * k21) / 2.0
-    assert psi_hat(data, k, h, w) == pytest.approx(expect, rel=1e-12)
+    assert psi_hat(data, k, h, w) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_psi_hat_boxcar_matches_naive():
@@ -72,7 +72,7 @@ def test_psi_hat_boxcar_matches_naive():
     k = make_kernel("boxcar", 2)
     w = np.array([0.5, 0.5])
     got = psi_hat(data, k, 0.6, w)
-    assert got == pytest.approx(naive_psi_hat(data, k, 0.6, w), rel=1e-12)
+    assert got == pytest.approx(naive_psi_hat(data, k, 0.6, w), rel=1e-12, abs=0)
 
 
 def test_f_hat_n3_hand_case():
@@ -82,8 +82,8 @@ def test_f_hat_n3_hand_case():
     data = DyadicDataset(x=x, y=y)
     k = make_kernel("boxcar", 2)
     h = 1.0
-    assert f_hat_w(data, k, h, [0.5, 0.5]) == pytest.approx(1.0, rel=1e-12)
-    assert f_hat_w(data, k, 0.5, [0.5, 0.5]) == pytest.approx(0.5 ** -2, rel=1e-12)
+    assert f_hat_w(data, k, h, [0.5, 0.5]) == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert f_hat_w(data, k, 0.5, [0.5, 0.5]) == pytest.approx(0.5 ** -2, rel=1e-12, abs=0)
 
 
 def test_density_sum_does_not_cancel_where_one_unit_dominates():
@@ -115,7 +115,7 @@ def test_f_hat_integrates_to_one():
     grid = np.stack([a.ravel(), b.ravel()], axis=-1)
     res = nw_estimate(data, k, h, grid)
     integral = float(np.sum(res.f_hat)) * step * step
-    assert integral == pytest.approx(1.0, rel=0.02)
+    assert integral == pytest.approx(1.0, rel=0.02, abs=0)
 
 
 def test_nw_constant_outcomes_exact():
@@ -124,7 +124,7 @@ def test_nw_constant_outcomes_exact():
     k = make_kernel("gaussian", 2)
     res = nw_estimate(data, k, 0.3, [[0.4, 0.6], [0.2, 0.9]])
     assert np.all(res.defined)
-    assert np.all(res.g_hat == pytest.approx(1.0, rel=1e-12))
+    assert np.all(res.g_hat == pytest.approx(1.0, rel=1e-12, abs=0))
 
 
 def test_nw_matches_naive_reference():
@@ -132,8 +132,8 @@ def test_nw_matches_naive_reference():
     k = make_kernel("gaussian", 2)
     res = nw_estimate(data, k, 0.35, [[0.5, 0.5]])
     g_ref, f_ref = naive_nw(data, k, 0.35, np.array([0.5, 0.5]))
-    assert res.g_hat[0] == pytest.approx(g_ref, rel=1e-12)
-    assert res.f_hat[0] == pytest.approx(f_ref, rel=1e-12)
+    assert res.g_hat[0] == pytest.approx(g_ref, rel=1e-12, abs=0)
+    assert res.f_hat[0] == pytest.approx(f_ref, rel=1e-12, abs=0)
 
 
 def test_nw_empty_window_marked_undefined():
@@ -162,8 +162,8 @@ def test_permutation_invariance():
     perm = np.random.default_rng(1).permutation(11)
     data_p = DyadicDataset(x=data.x[perm], y=data.y[np.ix_(perm, perm)])
     w = [0.45, 0.55]
-    assert psi_hat(data_p, k, 0.4, w) == pytest.approx(psi_hat(data, k, 0.4, w), rel=1e-12)
-    assert f_hat_w(data_p, k, 0.4, w) == pytest.approx(f_hat_w(data, k, 0.4, w), rel=1e-12)
+    assert psi_hat(data_p, k, 0.4, w) == pytest.approx(psi_hat(data, k, 0.4, w), rel=1e-12, abs=0)
+    assert f_hat_w(data_p, k, 0.4, w) == pytest.approx(f_hat_w(data, k, 0.4, w), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("diagonal", [np.nan, 7.5, np.inf])
@@ -182,9 +182,9 @@ def test_diagonal_input_is_ignored(diagonal):
                         parts.statistic, parts.var1_hat, parts.var2_hat))
     assert results[0] == results[1]
     psi, g_hat, statistic = results[1][:3]
-    assert psi == pytest.approx(naive_psi_hat(data, k, h, w), rel=1e-12)
-    assert statistic == pytest.approx(naive_pair_average(data, k, h, w, tau=tau), rel=1e-12)
-    assert g_hat == pytest.approx(naive_nw(data, k, h, w)[0], rel=1e-12)
+    assert psi == pytest.approx(naive_psi_hat(data, k, h, w), rel=1e-12, abs=0)
+    assert statistic == pytest.approx(naive_pair_average(data, k, h, w, tau=tau), rel=1e-12, abs=0)
+    assert g_hat == pytest.approx(naive_nw(data, k, h, w)[0], rel=1e-12, abs=0)
 
 
 def test_one_point_estimate_does_not_copy_outcomes():
@@ -208,9 +208,9 @@ def test_grid_batch_matches_single_point_evaluations():
     for idx, w in enumerate(grid):
         p = psi_hat(data, k, 0.45, w)
         f = f_hat_w(data, k, 0.45, w)
-        assert res.f_hat[idx] == pytest.approx(f, rel=1e-12)
+        assert res.f_hat[idx] == pytest.approx(f, rel=1e-12, abs=0)
         if res.defined[idx]:
-            assert res.g_hat[idx] == pytest.approx(p / f, rel=1e-12)
+            assert res.g_hat[idx] == pytest.approx(p / f, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("d_x", [1, 2])
@@ -263,8 +263,8 @@ def test_oracle_equivalence_small_instances(d_x, rng):
         data = simulate(spec, n, 100 * d_x + trial)
         w = rng.uniform(0.0, 1.0, 2 * d_x)
         h = float(rng.uniform(0.2, 0.8))
-        assert psi_hat(data, k, h, w) == pytest.approx(naive_psi_hat(data, k, h, w), rel=1e-12)
-        assert f_hat_w(data, k, h, w) == pytest.approx(naive_f_hat(data, k, h, w), rel=1e-12)
+        assert psi_hat(data, k, h, w) == pytest.approx(naive_psi_hat(data, k, h, w), rel=1e-12, abs=0)
+        assert f_hat_w(data, k, h, w) == pytest.approx(naive_f_hat(data, k, h, w), rel=1e-12, abs=0)
 
 
 def _grids(d_x, rng):
@@ -313,8 +313,8 @@ def test_weights_equal_point_by_point_weights_bitwise(kernel_id, d_x, rng):
             np.testing.assert_allclose(res.f_hat, f_ref, rtol=1e-12, err_msg=name)
             idx = int(rng.integers(len(grid)))
             g_naive, f_naive = naive_nw(data, kernel, h, grid[idx])
-            assert res.f_hat[idx] == pytest.approx(f_naive, rel=1e-12), name
-            assert res.g_hat[idx] == pytest.approx(g_naive, rel=1e-12, nan_ok=True), name
+            assert res.f_hat[idx] == pytest.approx(f_naive, rel=1e-12, abs=0), name
+            assert res.g_hat[idx] == pytest.approx(g_naive, rel=1e-12, abs=0, nan_ok=True), name
 
 
 def _product_grids(rng):
@@ -336,9 +336,9 @@ def test_distinct_half_contraction_matches_pair_loop_oracle(name, rng):
     assert np.array_equal(res.grid, grid)
     for idx, w in enumerate(grid):
         g_ref, f_ref = naive_nw(data, k, 0.5, w)
-        assert res.f_hat[idx] == pytest.approx(f_ref, rel=1e-12), idx
+        assert res.f_hat[idx] == pytest.approx(f_ref, rel=1e-12, abs=0), idx
         assert res.defined[idx]
-        assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12), idx
+        assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12, abs=0), idx
 
 
 def test_scattered_grid_allocates_less_than_one_grid_by_grid_array(rng):
@@ -375,9 +375,9 @@ def test_product_grid_with_repeated_halves_matches_oracle():
     res = nw_estimate(data, k, 0.4, grid)
     for idx, w in enumerate(grid):
         g_ref, f_ref = naive_nw(data, k, 0.4, w)
-        assert res.f_hat[idx] == pytest.approx(f_ref, rel=1e-12)
+        assert res.f_hat[idx] == pytest.approx(f_ref, rel=1e-12, abs=0)
         assert res.defined[idx]
-        assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12)
+        assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12, abs=0)
 
 
 def test_kernel_factor_evaluated_once_per_distinct_coordinate():

@@ -24,7 +24,7 @@ def test_eval_boxcar_outside_support():
 
 def test_eval_bump_explicit_amplitude():
     k = make_kernel("bump", 1, bump_a=0.1)
-    assert eval_kernel(k, [0.0]) == pytest.approx(0.1 * math.exp(-1.0), rel=1e-12)
+    assert eval_kernel(k, [0.0]) == pytest.approx(0.1 * math.exp(-1.0), rel=1e-12, abs=0)
 
 
 def test_eval_dimension_mismatch_rejected():
@@ -44,10 +44,10 @@ def test_eval_batch_matches_single_points(rng):
 
 
 def test_bump_eta_values():
-    assert bump_eta(0.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert bump_eta(0.0) == pytest.approx(math.exp(-1.0), rel=1e-12, abs=0)
     assert bump_eta(1.0) == 0.0
     assert bump_eta(-1.0) == 0.0
-    assert bump_eta(0.5) == pytest.approx(math.exp(-4.0 / 3.0), rel=1e-12)
+    assert bump_eta(0.5) == pytest.approx(math.exp(-4.0 / 3.0), rel=1e-12, abs=0)
     assert bump_eta(7.3) == 0.0  # total function
     # vanishes smoothly at the boundary
     assert bump_eta(0.999999) < 1e-200
@@ -81,7 +81,7 @@ def test_higher_order_gaussian_o4_formula():
     # standard fourth-order factor (3 - u^2)/2 * phi(u)
     for u in (0.0, 0.7, -1.3, 2.5):
         expect = 0.5 * (3.0 - u * u) * math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
-        assert eval_kernel(k4, [u]) == pytest.approx(expect, rel=1e-12)
+        assert eval_kernel(k4, [u]) == pytest.approx(expect, rel=1e-12, abs=0)
     assert kernel_moment(k4, np.array([2])) == pytest.approx(0.0, abs=1e-6)
 
 
@@ -105,8 +105,8 @@ def test_higher_order_epanechnikov():
     assert kernel_moment(k, np.array([2])) == pytest.approx(0.0, abs=1e-8)
     # (15/8)(1 - 7u^2/3) polynomial
     c = k.params[2]
-    assert c[0] == pytest.approx(15.0 / 8.0, rel=1e-12)
-    assert c[1] == pytest.approx(-35.0 / 8.0, rel=1e-12)
+    assert c[0] == pytest.approx(15.0 / 8.0, rel=1e-12, abs=0)
+    assert c[1] == pytest.approx(-35.0 / 8.0, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kernel_id", KERNEL_IDS)

@@ -75,7 +75,7 @@ def test_kl_quadratic_form_vs_dense(n, rng):
 def test_kl_quadratic_form_hand_n2():
     # Omega = [[3,2],[2,3]], TK = (k1+k2) * ones -> qf = 0.4 (k1+k2)^2
     k1, k2 = 0.7, -0.2
-    assert kl_quadratic_form(np.array([k1, k2]), 2) == pytest.approx(0.4 * (k1 + k2) ** 2, rel=1e-12)
+    assert kl_quadratic_form(np.array([k1, k2]), 2) == pytest.approx(0.4 * (k1 + k2) ** 2, rel=1e-12, abs=0)
 
 
 def test_woodbury_zero_vector():
@@ -89,7 +89,7 @@ def test_woodbury_basis_vector_n3():
     core = np.eye(3) + t.T @ t
     e1 = np.array([1.0, 0.0, 0.0])
     lhs, rhs = woodbury_sides(sel, e1)
-    assert rhs == pytest.approx(float(np.linalg.inv(core)[0, 0]), rel=1e-12)
+    assert rhs == pytest.approx(float(np.linalg.inv(core)[0, 0]), rel=1e-12, abs=0)
     assert abs(lhs - rhs) < 1e-10
 
 
@@ -112,7 +112,7 @@ def test_two_point_coincident_centers_peak():
     con = make_two_point(2.0, 1.0, 1.0, 1, centers=(x0, x0))
     h = con.h_n(100)
     expect = 2.0 * 1.0 * h**2.0 * con.k_at_zero
-    assert hypothesis_g(con, 1, np.array([0.5, 0.5]), 100) == pytest.approx(expect, rel=1e-12)
+    assert hypothesis_g(con, 1, np.array([0.5, 0.5]), 100) == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def test_fano_disjoint_support_peaks():
@@ -121,7 +121,7 @@ def test_fano_disjoint_support_peaks():
     h = con.h_n(200)
     w = np.array([centers[0, 0], centers[0, 0]])
     expect = 2.0 * h**2.0 * con.k_at_zero
-    assert hypothesis_g(con, 1, w, 200) == pytest.approx(expect, rel=1e-12)
+    assert hypothesis_g(con, 1, w, 200) == pytest.approx(expect, rel=1e-12, abs=0)
     for other in range(2, len(centers) + 1):
         assert hypothesis_g(con, other, w, 200) == 0.0
 
@@ -213,10 +213,10 @@ def test_separation_two_point_equality_at_bound():
     w0 = np.array([0.2, 0.8])
     res = separation_check(con, 1, 0, [w0], 100)
     h = con.h_n(100)
-    assert res.required == pytest.approx(1.0 * h**2 * con.k_at_zero, rel=1e-12)
-    assert res.gap == pytest.approx(res.required, rel=1e-12)
+    assert res.required == pytest.approx(1.0 * h**2 * con.k_at_zero, rel=1e-12, abs=0)
+    assert res.gap == pytest.approx(res.required, rel=1e-12, abs=0)
     assert res.passed
-    assert res.a_const == pytest.approx(con.k_at_zero * con.c0**2 / 2.0, rel=1e-12)
+    assert res.a_const == pytest.approx(con.k_at_zero * con.c0**2 / 2.0, rel=1e-12, abs=0)
 
 
 def test_separation_fano_pairs():
@@ -227,7 +227,7 @@ def test_separation_fano_pairs():
     for k in range(1, len(centers) + 1):
         for l in range(k + 1, len(centers) + 1):
             res = separation_check(con, k, l, grid, 200)
-            assert res.gap == pytest.approx(2.0 * h**2 * con.k_at_zero, rel=1e-12)
+            assert res.gap == pytest.approx(2.0 * h**2 * con.k_at_zero, rel=1e-12, abs=0)
             assert res.passed
 
 
@@ -271,7 +271,7 @@ def test_fano_kl_average_bound_and_packing_size():
     assert rep.avg_kl <= rep.bound + 3.0 * rep.kl_se
     assert rep.ln_m_n >= rep.ln_m_lower
     assert rep.m_n == 4 and rep.n_hypotheses == 4
-    assert rep.alpha_implied == pytest.approx(rep.avg_kl / math.log(4), rel=1e-12)
+    assert rep.alpha_implied == pytest.approx(rep.avg_kl / math.log(4), rel=1e-12, abs=0)
 
 
 def test_fano_center_spacing_keeps_supports_disjoint():
@@ -378,7 +378,7 @@ def test_holder_rejects_large_beta():
 def test_frozen_bump_amplitudes_match_fitter():
     for (beta, d), frozen in DEFAULT_BUMP_AMPLITUDE.items():
         refit = fit_bump_amplitude(beta, d)
-        assert refit == pytest.approx(frozen, rel=1e-9)
+        assert refit == pytest.approx(frozen, rel=1e-9, abs=0)
 
 
 def test_bump_kernel_passes_sigma_beta_half():
