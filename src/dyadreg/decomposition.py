@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import DgpSpec, DyadicDataset, _additive_units, _off_diagonal_sums, _pair_blocks, _v_pair_blocks, replicate
-from .estimator import BandwidthRule, _weights, kernel_scale
+from .estimator import BandwidthRule, _half_weights, kernel_scale
 
 __all__ = ["HoeffdingParts", "DominanceRow", "hoeffding_decompose", "variance_dominance"]
 
@@ -54,7 +54,7 @@ def _split(x: np.ndarray, sums, kernel, h: float, w) -> HoeffdingParts:
     """The split of outcomes Y with regressors x from sums(a, b) = (Yt b, Yt^T a,
     (a∘a)^T (Yt∘Yt)(b∘b), (a∘b)^T (Yt∘Yt^T)(a∘b)), a and b w's kernel weights."""
     n, d = x.shape
-    a, b = (_weights(x, kernel, h, half)[:, 0] for half in (w[:d], w[d:]))
+    a, b = (weights[:, 0] for weights in _half_weights(x, kernel, h, w[:d], w[d:]))
     yt_b, yt_a, sq, cross = sums(a, b)
     s = kernel_scale(h, kernel.dim)
     row_means = 0.5 * s * (a * yt_b + b * yt_a) / (n - 1)

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "DyadicDataset",
@@ -93,6 +91,7 @@ def uniform_law(d_x: int) -> RegressorLaw:
 
 def truncnorm_law(d_x: int, radius: float = 2.0) -> RegressorLaw:
     """Standard normal truncated to [-radius, radius] per coordinate."""
+    from scipy.special import ndtr, ndtri  # when the law is built, so replicate's threads import nothing
 
     def sample(rng, n):
         u = rng.random((n, d_x))
@@ -149,10 +148,11 @@ class DyadicDataset:
     @classmethod
     def _adopt(cls, x: np.ndarray, y: np.ndarray) -> "DyadicDataset":
         """The dataset of float arrays x (N x d_x) and a C-ordered y that no
-        one else holds, taking y itself rather than a copy."""
+        one else holds, taking y itself rather than a copy, and checking
+        nothing: the caller has made them as _validate would pass them, with
+        finite x and off-diagonal y and a zero diagonal."""
         data = cls.__new__(cls)
         data.x, data.y = x, y
-        data._validate()
         return data
 
     def _validate(self):
@@ -230,6 +230,8 @@ def make_dgp(kind: str, g_name: str = "sin_additive", d_x: int = 1,
 
         return DgpSpec("sigmoid_graphon", reg_law, beta, None, graphon=h)
     if kind == "threshold_graphon":
+        from scipy.special import ndtr  # when the DGP is built, so replicate's threads import nothing
+
         def h(x1, x2, u1, u2, v):
             return (u1 + u2 + _coordsum(x1) + _coordsum(x2) > 0).astype(float)
 
@@ -280,7 +282,8 @@ def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     The _pair_blocks walk written into a zero Y, each block's up above the
     diagonal and its low below. Every outcome is copied once, not added to a
     zero, so Y keeps its bits, a negative zero's sign too. The dataset takes Y
-    without a copy."""
+    without a copy or a second check: _pair_blocks has refused non-finite
+    regressors and outcomes, and left the diagonal zero."""
     x, blocks = _pair_blocks(spec, n_units, seed)
     y = np.zeros((n_units, n_units))
     below = np.tri(min(_V_BLOCK_ROWS, n_units - 1), k=-1, dtype=bool)  # where a block's square of Y takes low
@@ -387,7 +390,8 @@ def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
     N x N matrix. Only for an additive DGP: c∘(J b) + J(c∘b) (_additive_units,
     _off_diagonal_sums) plus each V block's rows against b and its columns
     against b's rows of the block, to rounding. At N = 600 a replication peaks
-    at 0.23 x 8 N^2 bytes on one point, 0.47 on a 2401-point d_x = 2 grid."""
+    at 0.23 x 8 N^2 bytes on one point, 0.39 on a 2401-point d_x = 2 grid,
+    whose halves share one N x 49 weight array (estimator._half_weights)."""
     x, c = _additive_units(spec, n_units, seed)
 
     def y_matmul(b: np.ndarray) -> np.ndarray:
@@ -395,9 +399,7 @@ def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
         out += c[:, None] * _off_diagonal_sums(b)
         for r0, r1, up, low in _v_pair_blocks(seed, n_units):
             out[r0:r1] += up @ b[r0:]
-            tail = out[r0:].T  # out[r0:] += low.T @ b[r0:r1] in place: dgemm writes into a Fortran-ordered c
-            if dgemm(1.0, b[r0:r1].T, low.T, 1.0, tail, trans_b=True, overwrite_c=True) is not tail:
-                raise AssertionError("dgemm added low.T @ b into a copy of Y @ b")
+            out[r0:] += low.T @ b[r0:r1]
         return out
 
     return x, y_matmul

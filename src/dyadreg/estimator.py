@@ -125,6 +125,19 @@ def _weights(x: np.ndarray, kernel: KernelSpec, h: float, points, codes=None) ->
     return weights
 
 
+def _half_weights(x: np.ndarray, kernel: KernelSpec, h: float, first, second,
+                  codes=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): the _weights of the first and of the second halves of grid
+    points, with their codes if given. Where the halves are equal bit for bit
+    (a product grid over the same axes, or w = (w1, w1)) so are the weights,
+    and b is a itself: built once, held once."""
+    a = _weights(x, kernel, h, first, codes[0])
+    first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    if first.shape == second.shape and first.tobytes() == second.tobytes():
+        return a, a
+    return a, _weights(x, kernel, h, second, codes[1])
+
+
 def _coordinate_codes(points: np.ndarray) -> tuple:
     """Per column of points (M, d): its distinct values and, per point, the
     position of its value among them."""
@@ -191,11 +204,11 @@ def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid,
     n, d = x.shape
     (u, p, u_codes), (v, q, v_codes) = _grid_halves(grid, d)
     if len(v) * (n + len(u)) < len(grid) * (n + 1):
-        a, b = _weights(x, kernel, h, u, u_codes), _weights(x, kernel, h, v, v_codes)
+        a, b = _half_weights(x, kernel, h, u, v, (u_codes, v_codes))
         psi = (a.T @ y_matmul(b))[p, q]
         f = (a.T @ _off_diagonal_sums(b))[p, q]
     else:
-        a, b = _weights(x, kernel, h, grid[:, :d]), _weights(x, kernel, h, grid[:, d:])
+        a, b = _half_weights(x, kernel, h, grid[:, :d], grid[:, d:])
         psi = np.einsum("ng,ng->g", a, y_matmul(b))
         f = np.einsum("ng,ng->g", a, _off_diagonal_sums(b))
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .dgp import _stream, axes_grid, uniform_law
 from .errors import AssumptionViolation, PackingDegenerate
@@ -104,6 +103,8 @@ def woodbury_sides(sel: SelectionMatrices, k_vec) -> tuple[float, float]:
 
     Left side solves the big system iteratively through T matvecs; right side
     is a dense N x N solve. Their agreement certifies the Woodbury identity."""
+    from scipy.sparse.linalg import LinearOperator, cg  # only this check needs scipy.sparse
+
     k = np.asarray(k_vec, dtype=float)
     n = sel.n_units
     if k.shape != (n,):

@@ -304,10 +304,11 @@ def test_dataset_validation():
 def test_validation_makes_no_n_by_n_temporary():
     n = 600
     x, y = np.random.default_rng(0).random((n, 1)), np.random.default_rng(1).random((n, n))
-    DyadicDataset._adopt(x, y)
+    data = DyadicDataset._adopt(x, y)
+    data._validate()
     tracemalloc.start()
     try:
-        DyadicDataset._adopt(x, y)
+        data._validate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import f_hat_w, naive_f_hat, naive_nw, naive_pair_average, naive_psi_hat, naive_weights, psi_hat
 
-from dyadreg import estimator
+from dyadreg import decomposition, estimator
 from dyadreg.decomposition import hoeffding_decompose
 from dyadreg.dgp import DyadicDataset, _off_diagonal_sums, make_dgp, replication_seed, simulate
 from dyadreg.estimator import BandwidthRule, bandwidth, _weights, kernel_scale, nw_estimate
@@ -339,6 +339,37 @@ def test_distinct_half_contraction_matches_pair_loop_oracle(name, rng):
         assert res.f_hat[idx] == pytest.approx(f_ref, rel=1e-12, abs=0), idx
         assert res.defined[idx]
         assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12, abs=0), idx
+
+
+def _weights_half_by_half(x, kernel, h, first, second, codes=(None, None)):
+    return _weights(x, kernel, h, first, codes[0]), _weights(x, kernel, h, second, codes[1])
+
+
+@pytest.mark.parametrize("d_x", [1, 2])
+def test_equal_halves_share_weights_bit_for_bit(monkeypatch, d_x, rng):
+    kernel, h = make_kernel("epanechnikov", 2 * d_x), 0.4
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=d_x), 40, 3)
+    points = rng.uniform(0.0, 1.0, (30, d_x))
+    grids = [product_grid(0.1, 0.9, 5, 2 * d_x), np.full((1, 2 * d_x), 0.45), np.hstack([points, points])]
+    w = np.full(2 * d_x, 0.45)
+    shared, half_weights = [], estimator._half_weights
+
+    def recorded(*args):
+        a, b = half_weights(*args)
+        shared.append(a is b)
+        return a, b
+
+    monkeypatch.setattr(estimator, "_half_weights", recorded)
+    monkeypatch.setattr(decomposition, "_half_weights", recorded)
+    results = [nw_estimate(data, kernel, h, grid) for grid in grids]
+    parts = hoeffding_decompose(data, kernel, h, math.inf, w)
+    assert shared == [True] * 4
+    monkeypatch.setattr(estimator, "_half_weights", _weights_half_by_half)
+    monkeypatch.setattr(decomposition, "_half_weights", _weights_half_by_half)
+    for res, grid in zip(results, grids):
+        ref = nw_estimate(data, kernel, h, grid)
+        assert res.f_hat.tobytes() == ref.f_hat.tobytes() and res.g_hat.tobytes() == ref.g_hat.tobytes()
+    assert parts == hoeffding_decompose(data, kernel, h, math.inf, w)
 
 
 def test_scattered_grid_allocates_less_than_one_grid_by_grid_array(rng):

@@ -298,6 +298,20 @@ def test_streamed_replication_allocates_under_a_quarter_of_one_n_by_n_array():
     assert peak < 0.25 * 8 * n * n
 
 
+def test_streamed_grid_replication_allocates_under_half_of_one_n_by_n_array():
+    # the weights a = b and Y b, N x 49 each, take 0.16 of 8 N^2 here, the V walk most of the rest
+    spec, kernel, n = make_dgp("theorem1", "sin_additive", d_x=2), make_kernel("gaussian", 4), 600
+    grid = product_grid(0.2, 0.8, 7, 4)
+    _streamed(spec, n, 1, kernel, 0.2, grid)
+    tracemalloc.start()
+    try:
+        _streamed(spec, n, 1, kernel, 0.2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
+
+
 @pytest.mark.parametrize("kind, g_name, mode, simulated", [
     ("theorem1", "sin_additive", "pointwise", 0),
     ("theorem1", "sin_additive", "sup-norm", 0),
