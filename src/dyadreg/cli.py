@@ -17,7 +17,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, dgp
 from .decomposition import variance_dominance
@@ -38,6 +37,8 @@ __all__ = ["main"]
 def _write_run_manifest(subcommand: str, config: dict, outputs: list[str]):
     if not outputs:
         return
+    import scipy  # only the run record reads scipy, so a CLI session without --manifest loads none
+
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "subcommand": subcommand,

@@ -73,21 +73,23 @@ def _split(x: np.ndarray, sums, kernel, h: float, w) -> HoeffdingParts:
 
 
 def _block_sums(blocks, tau: float, a: np.ndarray, b: np.ndarray):
-    """_split's sums(a, b) of the outcomes in the pair blocks (r0, r1, c0, up,
-    low) of `blocks`, masked by |Y| < tau: up[i - r0, k] = Y_ij and
-    low[i - r0, k] = Y_ji for r0 <= i < r1 and j = c0 + k > i, zero where
-    j <= i. Every pair (i, j > i) is in one block."""
+    """_split's sums(a, b) of the outcomes in the pair blocks (r0, c0, up, low)
+    of `blocks`, masked by |Y| < tau: up[i - r0, k] = Y_ij and
+    low[i - r0, k] = Y_ji for r0 <= i < r0 + len(up) and j = c0 + k > i,
+    zero where j <= i. Every pair (i, j > i) is in one block. A block of
+    dgp._pair_blocks has c0 = r0; _dataset_blocks' views right of a square
+    start at its r1."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     n = len(a)
     a2, b2, ab = a * a, b * b, a * b
     yt_b, yt_a = np.zeros(n), np.zeros(n)
     sq = cross = 0.0
-    for r0, r1, c0, up, low in blocks:
+    for r0, c0, up, low in blocks:
         if math.isfinite(tau):
             up = up * (np.abs(up) < tau)
             low = low * (np.abs(low) < tau)
-        i, j = slice(r0, r1), slice(c0, c0 + up.shape[1])
+        i, j = slice(r0, r0 + len(up)), slice(c0, c0 + up.shape[1])
         yt_b[i] += up @ b[j]
         yt_b[j] += b[i] @ low
         yt_a[j] += a[i] @ up
@@ -132,8 +134,8 @@ def _dataset_blocks(y: np.ndarray):
     n = len(y)
     for r0 in range(0, n - 1, _BLOCK):
         r1 = min(r0 + _BLOCK, n - 1)
-        yield r0, r1, r0, np.triu(y[r0:r1, r0:r1], 1), np.triu(y[r0:r1, r0:r1].T, 1)
-        yield r0, r1, r1, y[r0:r1, r1:], y[r1:, r0:r1].T
+        yield r0, r0, np.triu(y[r0:r1, r0:r1], 1), np.triu(y[r0:r1, r0:r1].T, 1)
+        yield r0, r1, y[r0:r1, r1:], y[r1:, r0:r1].T
 
 
 def hoeffding_decompose(data: DyadicDataset, kernel, h: float, tau: float, w) -> HoeffdingParts:
@@ -146,7 +148,7 @@ def _streamed_sums(spec: DgpSpec, n_units: int, seed: int):
     """(x, sums) for _split, tau = inf, of simulate(spec, n_units, seed)'s dataset."""
     if spec.unit_part is None:
         x, blocks = _pair_blocks(spec, n_units, seed)
-        return x, functools.partial(_block_sums, blocks, math.inf)
+        return x, functools.partial(_block_sums, ((r0, r0, up, low) for r0, _, up, low in blocks), math.inf)
     x, c = _additive_units(spec, n_units, seed)
     return x, functools.partial(_additive_sums, c, seed)
 

@@ -287,7 +287,7 @@ def simulate(spec: DgpSpec, n_units: int, seed: int) -> DyadicDataset:
     x, blocks = _pair_blocks(spec, n_units, seed)
     y = np.zeros((n_units, n_units))
     below = np.tri(min(_V_BLOCK_ROWS, n_units - 1), k=-1, dtype=bool)  # where a block's square of Y takes low
-    for r0, r1, _, up, low in blocks:
+    for r0, r1, up, low in blocks:
         m = r1 - r0
         y[r0:r1, r0:] = up
         y[r1:, r0:r1] = low[:, m:].T
@@ -314,12 +314,12 @@ def _v_pair_blocks(seed: int, n_units: int):
 
 def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
     """(x, blocks): the regressors and outcomes of simulate(spec, n_units, seed),
-    with no N x N matrix. blocks yields (r0, r1, r0, up, low) in the _v_blocks
-    walk: up[i - r0, k] = Y_ij and low[i - r0, k] = Y_ji for j = r0 + k > i,
-    and zero elsewhere; up and low hold until the next block. Y_ij is
-    ((g + U_i) + U_j) + V_ij or the graphon h(X_i, X_j, U_i, U_j, V_ij).
-    Non-finite regressors raise ValueError before any outcome is formed, then
-    non-finite outcomes.
+    with no N x N matrix. blocks yields (r0, r1, up, low) in the
+    _v_pair_blocks walk: up[i - r0, k] = Y_ij and low[i - r0, k] = Y_ji for
+    j = r0 + k > i, and zero elsewhere; up and low hold until the next block.
+    Y_ij is ((g + U_i) + U_j) + V_ij or the graphon h(X_i, X_j, U_i, U_j,
+    V_ij). Non-finite regressors raise ValueError before any outcome is
+    formed, then non-finite outcomes.
 
     Beside up and low, each V block is a new array, freed before the outcomes
     are formed, and they are formed on half a block's rows at a time: g's
@@ -349,7 +349,7 @@ def _pair_blocks(spec: DgpSpec, n_units: int, seed: int):
             up[:, :m][square[:m, :m]] = low[:, :m][square[:m, :m]] = 0.0
             if not (_all_finite(up) and _all_finite(low)):
                 raise ValueError("off-diagonal outcomes must be finite")
-            yield r0, r1, r0, up, low
+            yield r0, r1, up, low
 
     return x, blocks()
 

@@ -98,28 +98,59 @@ def kl_quadratic_form(k_vec: np.ndarray, n_units: int) -> np.ndarray:
     return out if np.ndim(k_vec) > 1 else float(out[0])
 
 
+def _cg(matvec, b: np.ndarray, atol: float, maxiter: int) -> np.ndarray:
+    """Conjugate gradient for matvec(z) = b from z = 0, stopping once
+    norm(b - matvec(z)) < atol. Step for step scipy 1.17's
+    scipy.sparse.linalg.cg with no preconditioner, so z keeps its bits; a b
+    of norm 0 is returned as it is. Raises AssumptionViolation when maxiter
+    steps do not converge, and at the first step whose rho = r.r is not
+    finite or whose p.Ap is not finite and positive (alpha = rho / p.Ap would
+    not be finite and positive), as an overflow in either dot leaves them."""
+    if np.linalg.norm(b) == 0:
+        return b.copy()
+    z, r = np.zeros_like(b), b.copy()
+    for step in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return z
+        rho = np.dot(r, r)
+        if not np.isfinite(rho):
+            raise AssumptionViolation(f"conjugate gradient broke down at step {step + 1}: rho = {rho}")
+        if step:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = matvec(p)
+        pq = np.dot(p, q)
+        if not 0 < pq < math.inf:
+            raise AssumptionViolation(f"conjugate gradient broke down at step {step + 1}: p.Ap = {pq}")
+        alpha = rho / pq
+        z += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise AssumptionViolation(f"conjugate gradient failed to converge (info={maxiter})")
+
+
 def woodbury_sides(sel: SelectionMatrices, k_vec) -> tuple[float, float]:
     """Both sides of K^T K - (TK)^T (I + T T^T)^{-1} (TK) = K^T (I + T^T T)^{-1} K.
 
-    Left side solves the big system iteratively through T matvecs; right side
-    is a dense N x N solve. Their agreement certifies the Woodbury identity."""
-    from scipy.sparse.linalg import LinearOperator, cg  # only this check needs scipy.sparse
-
+    Left side solves the big system by _cg through T matvecs, with the
+    tolerances scipy.sparse.linalg.cg(rtol=1e-13, atol=1e-16 max(|TK|, 1),
+    maxiter=200) takes, and returns scipy 1.17's result bit for bit; right
+    side is a dense N x N solve. Their agreement certifies the Woodbury
+    identity."""
     k = np.asarray(k_vec, dtype=float)
     n = sel.n_units
     if k.shape != (n,):
         raise ValueError(f"k_vec must have length {n}")
     tk = sel.t_matvec(k)
-    dim = 2 * len(sel.pair_i)
 
     def matvec(y):
         return y + sel.t_matvec(sel.t_rmatvec(y))
 
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    scale = float(np.linalg.norm(tk))
-    z, info = cg(op, tk, rtol=1e-13, atol=1e-16 * max(scale, 1.0), maxiter=200)
-    if info != 0:
-        raise AssumptionViolation(f"conjugate gradient failed to converge (info={info})")
+    with np.errstate(over="ignore"):  # _cg refuses the non-finite dots an overflow leaves
+        scale = float(np.linalg.norm(tk))
+        z = _cg(matvec, tk, atol=max(1e-16 * max(scale, 1.0), 1e-13 * scale), maxiter=200)
     lhs = float(k @ k - tk @ z)
     rhs = float(k @ np.linalg.solve(_core_matrix(n), k))
     return lhs, rhs

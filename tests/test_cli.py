@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -310,6 +311,21 @@ def test_minimax_report(tmp_path):
         assert body["holder_pass"]
         assert body["woodbury_max_gap"] <= 1e-8
         assert body["kl_within_bound"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--variant", "two-point", "--n", "20,40", "--reps", "20", "--seed", "1"],
+     "e596aeb4f9fb5a60713b6ba61e0f45dc897f97a7ce6c6cd44d20972238dbe944"),
+    (["--variant", "fano", "--c0", "0.5", "--n", "40,60", "--reps", "20", "--seed", "1"],
+     "545a89d02f06bdc542a046502992dac809d62d25a0eef55160701eaab3f57d50"),
+], ids=["two-point", "fano"])
+def test_minimax_report_bytes_are_pinned(tmp_path, argv, digest):
+    """The seed contract on the Woodbury check's path: the report's bytes, as
+    scipy's conjugate gradient gave them (x86-64, numpy with OpenBLAS)."""
+    out = str(tmp_path / "mm.json")
+    assert main(["minimax", *argv, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_minimax_tiny_l_still_runs(tmp_path):

@@ -125,6 +125,7 @@ def test_streamed_split_allocates_under_a_quarter_of_one_n_by_n_array():
 
     def split():
         x, blocks = _pair_blocks(spec, n, 8)
+        blocks = ((r0, r0, up, low) for r0, _, up, low in blocks)
         return _split(x, functools.partial(_block_sums, blocks, math.inf), k, 0.3, W0)
 
     split()

@@ -159,12 +159,12 @@ def test_pair_blocks_are_simulates_outcomes_bitwise(kind, d_x):
             x, blocks = dgp._pair_blocks(spec, n, seed)
             assert x.tobytes() == data.x.tobytes(), (n, seed)
             walk = []
-            for r0, r1, c0, up, low in blocks:
-                walk.append((r0, r1, c0))
+            for r0, r1, up, low in blocks:
+                walk.append((r0, r1))
                 pairs = np.arange(r0, n) > np.arange(r0, r1)[:, None]
                 assert up.tobytes() == np.where(pairs, data.y[r0:r1, r0:], 0.0).tobytes(), (n, seed, r0)
                 assert low.tobytes() == np.where(pairs, data.y[r0:, r0:r1].T, 0.0).tobytes(), (n, seed, r0)
-            assert walk == [(r0, min(r0 + _B, n - 1), r0) for r0 in range(0, n - 1, _B)]
+            assert walk == [(r0, min(r0 + _B, n - 1)) for r0 in range(0, n - 1, _B)]
 
 
 def test_pair_blocks_refuse_non_finite_outcomes_and_regressors():

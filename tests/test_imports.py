@@ -1,8 +1,10 @@
 """Which parts of scipy a process loads. `import dyadreg` and every Monte Carlo
 path of a uniform-law additive DGP (streamed rate studies on one point or a
 grid, streamed dominance tables, simulate, CSV save and load, nw_estimate)
-run on numpy alone; the truncnorm law, the threshold graphon and the minimax
-Woodbury check import what they need when they are built or run."""
+run on numpy alone, as do a CLI session's simulate, estimate and minimax and
+the minimax Woodbury check; the truncnorm law and the threshold graphon import
+what they need when they are built, and the CLI's --manifest run record
+imports scipy for its version."""
 
 import json
 import os
@@ -57,16 +59,52 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_for_the_features_that_need_it(tmp_path):
+def _run_fresh(script, tmp_path):
+    """script's JSON output from a fresh interpreter, with tmp_path as argv[1]."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dyadreg.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_scipy_loads_only_for_the_features_that_need_it(tmp_path):
+    loaded = _run_fresh(_SCRIPT, tmp_path)
     assert loaded["import"] == []
     assert loaded["monte_carlo"] == []
     assert "scipy.special" in loaded["truncnorm"]
     assert loaded["threshold_g"] == 0.5
     assert loaded["woodbury_gap"] < 1e-8
-    assert "scipy.sparse.linalg" in loaded["woodbury"]
+    assert [m for m in loaded["woodbury"] if m.split(".")[:2] == ["scipy", "sparse"]] == []
+
+
+_CLI_SCRIPT = r"""
+import json, os, sys
+from dyadreg.cli import main
+
+d = sys.argv[1]
+runs = [["simulate", "--n", "30", "--seed", "1", "--out", os.path.join(d, "d.csv")],
+        ["estimate", "--data", os.path.join(d, "d.csv"), "--grid", "0.2:0.8:3,0.2:0.8:3",
+         "--out", os.path.join(d, "est.csv")],
+        ["minimax", "--variant", "two-point", "--n", "20,40", "--reps", "10", "--out", os.path.join(d, "two.json")],
+        ["minimax", "--variant", "fano", "--c0", "0.5", "--n", "40", "--reps", "10",
+         "--out", os.path.join(d, "fano.json")]]
+codes = [main(argv) for argv in runs]
+scipy_before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(main(["--manifest", "minimax", "--n", "20", "--reps", "10", "--out", os.path.join(d, "man.json")]))
+import scipy
+with open(os.path.join(d, "man.json.run.json")) as fh:
+    recorded = json.load(fh)["scipy_version"]
+print(json.dumps({"codes": codes, "scipy_before": scipy_before,
+                  "recorded": recorded, "version": scipy.__version__}))
+"""
+
+
+def test_a_cli_session_loads_scipy_only_for_a_run_record(tmp_path):
+    """simulate, estimate and both minimax variants of a uniform-law DGP run
+    on numpy alone; --manifest imports scipy to record its version."""
+    out = _run_fresh(_CLI_SCRIPT, tmp_path)
+    assert out["codes"] == [0, 0, 0, 0, 0]
+    assert out["scipy_before"] == []
+    assert out["recorded"] == out["version"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import omega, omega_inverse, selection_t
 from dyadreg.dgp import _stream, uniform_law
 from dyadreg.errors import AssumptionViolation, PackingDegenerate
 from dyadreg.kernels import DEFAULT_BUMP_AMPLITUDE, eval_kernel, make_kernel
-from dyadreg.minimax import (build_selection, fano_kl_average, fit_bump_amplitude,
+from dyadreg.minimax import (_cg, build_selection, fano_kl_average, fit_bump_amplitude,
                              holder_floor, holder_membership_check, hypothesis_g,
                              kl_quadratic_form, kl_two_point, make_fano,
                              make_two_point, separation_check,
@@ -100,6 +101,56 @@ def test_woodbury_random_n6(rng):
         lhs, rhs = woodbury_sides(sel, k)
         assert abs(lhs - rhs) < 1e-10
         assert rhs >= -1e-12
+
+
+def _woodbury_system(n, k):
+    sel = build_selection(n)
+    b = sel.t_matvec(k)
+    scale = float(np.linalg.norm(b))
+    return (lambda y: y + sel.t_matvec(sel.t_rmatvec(y))), b, scale
+
+
+def test_cg_is_scipys_cg_bit_for_bit(rng):
+    """_cg against scipy.sparse.linalg.cg with woodbury_sides' tolerances, on
+    the I + T T^T operator, to the last bit of the solution, and
+    woodbury_sides' left side against the one scipy's solution gives. At
+    1e-200 the norm of b underflows to 0, and scipy returns b itself."""
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    for n in (2, 3, 6, 50, 200):
+        base = rng.standard_normal(n)
+        for k in [s * base for s in (1e-200, 1e-100, 1e-8, 1.0, 1e8, 1e100)] + [np.zeros(n)]:
+            matvec, b, scale = _woodbury_system(n, k)
+            op = LinearOperator((len(b), len(b)), matvec=matvec, dtype=float)
+            want, info = cg(op, b, rtol=1e-13, atol=1e-16 * max(scale, 1.0), maxiter=200)
+            assert info == 0
+            got = _cg(matvec, b, atol=max(1e-16 * max(scale, 1.0), 1e-13 * scale), maxiter=200)
+            assert got.tobytes() == want.tobytes(), (n, scale)
+            assert woodbury_sides(build_selection(n), k)[0] == float(k @ k - b @ want), (n, scale)
+    matvec, b, scale = _woodbury_system(50, base[:50])
+    op = LinearOperator((len(b), len(b)), matvec=matvec, dtype=float)
+    _, info = cg(op, b, rtol=1e-13, atol=1e-16 * max(scale, 1.0), maxiter=1)
+    assert info == 1
+    with pytest.raises(AssumptionViolation) as exc:
+        _cg(matvec, b, atol=max(1e-16 * max(scale, 1.0), 1e-13 * scale), maxiter=1)
+    assert str(exc.value) == f"conjugate gradient failed to converge (info={info})"
+
+
+def test_woodbury_overflow_stops_at_the_first_step_without_warnings(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssumptionViolation, match=r"broke down at step 1: rho = inf$"):
+            woodbury_sides(build_selection(6), 1e200 * rng.standard_normal(6))
+        lhs, rhs = woodbury_sides(build_selection(6), 1e150 * rng.standard_normal(6))
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=0)
+
+
+def test_cg_refuses_a_step_with_no_finite_positive_alpha():
+    b = np.array([1.0, 2.0])
+    with pytest.raises(AssumptionViolation, match=r"broke down at step 1: p.Ap = 0.0$"):
+        _cg(lambda y: np.zeros_like(y), b, atol=1e-12, maxiter=10)
+    with pytest.raises(AssumptionViolation, match=r"broke down at step 1: p.Ap = nan$"):
+        _cg(lambda y: np.full_like(y, np.nan), b, atol=1e-12, maxiter=10)
 
 
 def test_hypothesis_null_is_zero():
