@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__, dgp
 from .decomposition import variance_dominance
-from .dgp import (DGP_KINDS, _sibling_paths, _stream, atomic_open, axes_grid, load_dataset,
-                  make_dgp, read_manifest, save_dataset, simulate)
+from .dgp import (DGP_KINDS, GRID_POINTS_MAX, _sibling_paths, _stream, atomic_open, axes_grid,
+                  load_dataset, make_dgp, read_manifest, save_dataset, simulate)
 from .errors import AssumptionViolation, ConfigError
 from .estimator import BandwidthRule, bandwidth, kernel_scale, nw_estimate
 from .kernels import make_kernel
@@ -145,8 +145,10 @@ def _parse_grid(text: str, dim: int) -> np.ndarray:
             raise ConfigError(f"bad grid coordinate spec {sp!r}") from None
         if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise ConfigError(f"bad grid coordinate spec {sp!r}")
-        axes.append(np.linspace(lo, hi, steps))
-    return axes_grid(axes)
+        axes.append((lo, hi, steps))
+    if math.prod(steps for _, _, steps in axes) > GRID_POINTS_MAX:
+        raise ConfigError(f"grid {text!r} has more than {GRID_POINTS_MAX} points")
+    return axes_grid([np.linspace(*axis) for axis in axes])
 
 
 def _cmd_estimate(args) -> list[str]:

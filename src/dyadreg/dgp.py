@@ -16,12 +16,12 @@ the off-diagonal sums of `_off_diagonal_sums`, and one walk of the V draw.
 `replicate` runs the replications of each N on a thread pool; each has its
 own seed, so its results do not depend on the pool size.
 
-The pairs CSV is written one row of Y at a time and read about 600 lines at
-a time, with string operations that run in C in place of a csv call per cell.
+The pairs CSV is written one row of Y at a time through a %-template and
+read about 600 lines at a time, numpy reading the indices from the bytes.
 The bytes written, and the result or error of a load, are those of a csv row
 walk: a load falls back to that walk for any block the block parse cannot
-take exactly. Float repr sets the floor of a save, and int and float
-conversion that of a load; temporaries stay one row or one block in size.
+take exactly. Float repr sets the floor of a save, and float conversion that
+of a load; temporaries stay one row or one block in size.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _ROLE_X, _ROLE_U, _ROLE_V = 0, 1, 2
+GRID_POINTS_MAX = 1 << 22  # the largest grid estimate and rates build: about 0.4 GB to estimate at d_x = 1
 
 
 def _stream(seed: int, role: int) -> np.random.Generator:
@@ -485,22 +486,22 @@ def save_dataset(data: DyadicDataset, pairs_path: str, meta: dict | None = None)
     """Write pair-list CSV (i,j,y), unit CSV (i,x_1..x_d), and a JSON manifest,
     each atomically. Floats are written with repr so the round trip is exact.
 
-    The pairs file is written one row of y at a time: repr of the row as a
-    list gives every cell's float repr in one call, and a %-template of the
-    row's lines, all but the diagonal's, takes i and the cells. The bytes
-    are those csv.writer gives (CRLF line ends, no quoting) in about half its
-    time: about 75 ms against 150 ms at N=300, of which float repr alone takes
-    about 60 ms. The temporaries are one row's strings."""
+    The pairs file is written one row of y at a time: a %-template of the
+    row's lines, all but the diagonal's, takes i and the row's floats, which
+    %r writes as repr does. The bytes are those csv.writer gives (CRLF line
+    ends, no quoting) in half its time: about 70 ms against 140 ms at N=300,
+    of which float repr alone takes about 47 ms. The temporaries are one
+    row's strings."""
     pairs_file, units_file, manifest_file = _sibling_paths(pairs_path)
     n, d = data.n_units, data.d_x
-    lines = [f"%s,{j},%s\r\n" for j in range(n)]  # line j of any row: i, j, y_ij
+    lines = [f"%s,{j},%r\r\n" for j in range(n)]  # line j of any row: i, j, y_ij
     with atomic_open(pairs_file) as fh:
         fh.write("i,j,y\r\n")
         for i in range(n):
-            cells = repr(data.y[i].tolist())[1:-1].split(", ")
-            del cells[i]
+            row = data.y[i].tolist()
+            del row[i]
             fields = [str(i)] * (2 * n - 2)
-            fields[1::2] = cells
+            fields[1::2] = row
             fh.write("".join(lines[:i] + lines[i + 1:]) % tuple(fields))
     with atomic_open(units_file) as fh:
         wr = csv.writer(fh)
@@ -563,12 +564,12 @@ class _Irregular(ValueError):
 
 def _scatter_block(y: np.ndarray, text: str, limit: int) -> int:
     """Put a block of whole pairs lines into y and return its line count.
-    The fields are converted by int and float, the builtins of the row walk.
     Raises _Irregular unless the block is ASCII lines of three unquoted fields,
     at most `limit` characters long, that all end in CRLF or all in LF, with
-    every index in range, off the diagonal, and every value finite: there a
-    line is one csv record, its fields are the text between its commas, and
-    the row walk would take each row."""
+    every index 1 to 18 digits (read by numpy, as int reads them), in range
+    and off the diagonal, and every value finite under float, the row walk's
+    conversion: there a line is one csv record, its fields are the text
+    between its commas, and the row walk would take each row."""
     b = np.frombuffer(text.encode("ascii"), np.uint8)
     lf = np.flatnonzero(b == 10)
     cr = np.flatnonzero(b == 13)
@@ -581,12 +582,22 @@ def _scatter_block(y: np.ndarray, text: str, limit: int) -> int:
     if not (commas.size == 2 * m and (commas[0::2] > starts).all() and (commas[1::2] < ends).all()
             and (ends - starts - 1).max() <= limit):
         raise _Irregular
-    cells = text.replace("\r\n" if cr.size else "\n", ",").split(",")
-    i = np.fromiter(map(int, cells[0:3 * m:3]), np.intp, m)
-    j = np.fromiter(map(int, cells[1:3 * m:3]), np.intp, m)
-    value = np.fromiter(map(float, cells[2:3 * m:3]), float, m)
+    # i and j of each line as rows of k digits, right-aligned: the pad reads
+    # bytes before the field (before the block: a negative position) and is zeroed
+    width = commas - np.column_stack((starts, commas[0::2])).ravel() - 1
+    k = width.max()
+    if not (width.min() >= 1 and k <= 18):  # int64 holds any 18 digits
+        raise _Irregular
+    digits = b[commas[:, None] - k + np.arange(k)] - 48
+    digits[np.arange(k) < k - width[:, None]] = 0
+    i, j = (digits @ 10 ** np.arange(k - 1, -1, -1)).reshape(m, 2).T
+    # with each line's second comma and CR made LFs, every value field is a
+    # piece of its own between LFs: the second of every two, or three with CRs
+    pieces = b.copy()
+    pieces[commas[1::2]] = pieces[cr] = 10
+    value = np.fromiter(map(float, pieces.tobytes().split(b"\n")[1::3 if cr.size else 2]), float, m)
     n = y.shape[0]
-    if not (np.isfinite(value).all() and ((0 <= i) & (i < n) & (0 <= j) & (j < n) & (i != j)).all()):
+    if not ((digits <= 9).all() and np.isfinite(value).all() and ((i < n) & (j < n) & (i != j)).all()):
         raise _Irregular
     y[i, j] = value
     return m
@@ -641,13 +652,13 @@ def load_dataset(pairs_path: str):
     field that is not an integer index or a finite number.
 
     The pairs file is parsed a block of about 600 lines at a time: numpy finds
-    the line ends and commas of the block, str.split cuts its fields, and int
-    and float convert them. Any block that parse cannot take exactly as
-    csv.reader does (a quote, a lone CR, a wrong field count, a failed
-    conversion, an index out of range) sends the whole file back through the
-    csv row walk, which gives its result or names the bad row. A clean file
-    loads in about 80 ms at N=300 against about 120 ms for the row walk, with
-    one block's temporaries (about 0.25 MB) beside y."""
+    the line ends and commas of the block and reads the indices from its
+    bytes, and float converts each value. Any block that parse cannot take
+    exactly as csv.reader does (a quote, a lone CR, a wrong field count, an
+    index of over 18 digits or out of range, a failed conversion) sends the
+    whole file back through the csv row walk, which gives its result or names
+    the bad row. A clean file loads in about 55 ms at N=300 against 115 ms for
+    the row walk; one block's temporaries (about 0.25 MB) sit beside y."""
     pairs_file, units_file, _ = _sibling_paths(pairs_path)
     manifest = read_manifest(pairs_path)
     n, d = manifest["n_units"], manifest["d_x"]
@@ -669,4 +680,6 @@ def load_dataset(pairs_path: str):
         y, n_rows = _pairs_by_row(pairs_file, n)
     if n_rows != n * (n - 1) or np.count_nonzero(np.isnan(y)) != n:
         raise ValueError(f"{pairs_file}: expected one row for each of the {n * (n - 1)} ordered pairs")
-    return DyadicDataset(x=x, y=y), manifest
+    data = DyadicDataset._adopt(x, y)  # checked in place: a copy of y would double the peak
+    data._validate()
+    return data, manifest

@@ -331,12 +331,19 @@ class KlReport:
     n_h_dx: float
 
 
+_KL_CHUNK_ELEMENTS = 1 << 14  # elements of a chunk's largest temporary: 128 KB
+
+
 def _kl_monte_carlo(con: MinimaxConstruction, n_units: int, mc_reps: int,
                     seed: int) -> tuple[float, float, float, float]:
     """Mean and standard error over `mc_reps` uniform regressor draws x of the
     mean over the alternatives k of KL = (T b_k)^T Omega^{-1} (T b_k) / 2 with
     b_k = con.unit_effects(x, N); returns (h_N, N h_N^d_x, mean, se). The draws
-    use stream role 10 for the two-point pair and 11 for the packing."""
+    use stream role 10 for the two-point pair and 11 for the packing. Chunks
+    of replications draw their x at once, in the stream order of one draw per
+    replication, so that the H x C x chunk N x d_x bump arguments (H
+    alternatives of C centres) hold at most 2^14 elements (128 KB), or one
+    replication's; each replication's KL keeps the bits of its own draw's."""
     h = con.h_n(n_units)
     n_h = n_units * h**con.d_x
     if n_h < 1.0:
@@ -346,10 +353,12 @@ def _kl_monte_carlo(con: MinimaxConstruction, n_units: int, mc_reps: int,
     law = uniform_law(con.d_x)
     rng = _stream(seed, 10 if con.variant == "two-point" else 11)
     centers = con.hypothesis_centers(n_units)
+    chunk = max(1, _KL_CHUNK_ELEMENTS // (centers.size * n_units))
     kls = np.empty(mc_reps)
-    for r in range(mc_reps):
-        kv = con.unit_effects(law.sample(rng, n_units), n_units, centers)
-        kls[r] = np.mean(0.5 * kl_quadratic_form(kv, n_units))
+    for r0 in range(0, mc_reps, chunk):
+        kv = con.unit_effects(law.sample(rng, min(chunk, mc_reps - r0) * n_units), n_units, centers)
+        kl = kl_quadratic_form(kv.reshape(-1, n_units), n_units).reshape(len(centers), -1)
+        kls[r0:r0 + chunk] = np.mean(0.5 * kl.T.copy(), axis=1)  # contiguous rows add as one draw's np.mean
     return h, n_h, float(np.mean(kls)), float(np.std(kls, ddof=1) / math.sqrt(mc_reps))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import DgpSpec, _outcome_matmul, axes_grid, replicate, true_g_on_grid
+from .dgp import GRID_POINTS_MAX, DgpSpec, _outcome_matmul, axes_grid, replicate, true_g_on_grid
 from .estimator import BandwidthRule, _nw, bandwidth, kernel_scale, nw_estimate
 from .kernels import KERNEL_IDS, make_kernel
 
@@ -79,8 +79,9 @@ class RateExperiment:
             kernel_scale(bandwidth(self.rule, n), 2 * self.dgp.d_x)
         if self.mode == "pointwise" and (self.w0 is None or len(self.w0) != 2 * self.dgp.d_x):
             raise ValueError(f"pointwise mode requires a w0 of {2 * self.dgp.d_x} coordinates")
-        if self.mode == "sup-norm" and self.grid_steps < 1:
-            raise ValueError(f"grid.steps must be >= 1, got {self.grid_steps}")
+        points = self.grid_steps ** (2 * self.dgp.d_x)
+        if self.mode == "sup-norm" and not (self.grid_steps > 0 and points <= GRID_POINTS_MAX):
+            raise ValueError(f"grid.steps must give 1 to {GRID_POINTS_MAX} grid points, got {self.grid_steps}")
         if self.dgp.g is None:
             raise ValueError(f"dgp {self.dgp.name!r} has no closed-form conditional mean "
                              "to measure the error against")

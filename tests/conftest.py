@@ -10,10 +10,12 @@ nw_estimate at that point bit for bit. naive_simulate is the bitwise
 reference for dgp.simulate: one draw of every pair's V at once, scattered into
 an N x N matrix. selection_t and omega are the dense minimax selection
 matrix T and error covariance I + T T^T, and omega_inverse its dense small-N
-inverse. naive_save_dataset and naive_load_dataset are the row-wise
-dataset writer and loader, one csv.writer or csv.reader row per pair: the
-reference for the bytes dgp.save_dataset writes and for the result or error of
-dgp.load_dataset.
+inverse. naive_kl_monte_carlo is the KL Monte Carlo one replication at a time,
+one regressor draw and one quadratic form each: the bitwise reference for the
+chunked minimax._kl_monte_carlo. naive_save_dataset and naive_load_dataset are
+the row-wise dataset writer and loader, one csv.writer or csv.reader row per
+pair: the reference for the bytes dgp.save_dataset writes and for the result or
+error of dgp.load_dataset.
 """
 
 import csv
@@ -26,9 +28,10 @@ import numpy as np
 import pytest
 
 from dyadreg.dgp import (_ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _sibling_paths, _stream, make_dgp,
-                         read_manifest)
+                         read_manifest, uniform_law)
 from dyadreg.estimator import BandwidthRule, _pair_sums
 from dyadreg.kernels import eval_kernel
+from dyadreg.minimax import kl_quadratic_form
 from dyadreg.rates import RateExperiment, run_rate_experiment
 
 
@@ -120,6 +123,21 @@ def omega_inverse(sel):
     inv = np.eye(t.shape[0]) - t @ np.linalg.solve(core, t.T)
     assert np.max(np.abs(om @ inv - np.eye(t.shape[0]))) < 1e-8
     return inv
+
+
+def naive_kl_monte_carlo(con, n_units, mc_reps, seed):
+    """(h_N, N h_N^d_x, mean, se) of the minimax KL Monte Carlo, one draw of
+    the N regressors and one batch of quadratic forms per replication."""
+    h = con.h_n(n_units)
+    n_h = n_units * h**con.d_x
+    law = uniform_law(con.d_x)
+    rng = _stream(seed, 10 if con.variant == "two-point" else 11)
+    centers = con.hypothesis_centers(n_units)
+    kls = np.empty(mc_reps)
+    for r in range(mc_reps):
+        kv = con.unit_effects(law.sample(rng, n_units), n_units, centers)
+        kls[r] = np.mean(0.5 * kl_quadratic_form(kv, n_units))
+    return h, n_h, float(np.mean(kls)), float(np.std(kls, ddof=1) / math.sqrt(mc_reps))
 
 
 def psi_hat(data, kernel, h, w):

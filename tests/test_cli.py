@@ -82,6 +82,7 @@ _BAD_RATES_CONFIGS = {
     "graphon": _RATES_BASE + "w0 = 0.5,0.5\ndgp.kind = sigmoid_graphon\n",
     "w0": _RATES_BASE + "w0 = 0.5\n",
     "steps": _RATES_BASE + "mode = sup-norm\ngrid.steps = 0\n",
+    "steps-d_x-2": _RATES_BASE + "dgp.d_x = 2\nmode = sup-norm\ngrid.steps = 100000\n",
     "no-dir": _RATES_BASE + "w0 = 0.5,0.5\nout.prefix = {d}/nodir/r\n",
     "seed": _RATES_BASE + "w0 = 0.5,0.5\nseed = -3\n",
     "c0-overflow": _RATES_BASE + "w0 = 0.5,0.5\nbandwidth.c0 = 1e-300\n",
@@ -120,6 +121,9 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
     _EST + ["--bandwidth", "fixed:nan", "--grid", "0.2:0.8:9"],
     _EST + ["--bandwidth", "pointwise-optimal:inf", "--grid", "0.2:0.8:9"],
     _EST + ["--grid", "nan:0.8:3"],
+    _EST + ["--grid", "0:1:100000"],
+    ["estimate", "--data", "{d}/d2.csv", "--grid", "0:1:100000", "--out", "{d}/o.csv"],
+    ["estimate", "--data", "{d}/d2.csv", "--grid", "0:1:1000", "--out", "{d}/o.csv"],
     _DIAG + ["--beta", "-0.5", "--w", "0.5,0.5"],
     _DIAG + ["--w", "nan,0.5"],
     ["rates", "--config", "{d}/beta.cfg"],
@@ -127,6 +131,7 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
     ["rates", "--config", "{d}/graphon.cfg"],
     ["rates", "--config", "{d}/w0.cfg"],
     ["rates", "--config", "{d}/steps.cfg"],
+    ["rates", "--config", "{d}/steps-d_x-2.cfg"],
     ["simulate", "--n", "20", "--seed", "1", "--out", "{d}/nodir/o.csv"],
     _EST + ["--grid", "0.2:0.8:9", "--out", "{d}/nodir/o.csv"],
     _MINIMAX + ["--out", "{d}/nodir/o.json"],
@@ -159,9 +164,12 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
         "simulate-d-x-0", "diagnose-d-x-0",
         "minimax-d-x-0", "minimax-beta-0", "minimax-beta-5", "minimax-l-0", "minimax-l-negative",
         "minimax-c0-negative", "estimate-beta-negative", "estimate-bandwidth-nan",
-        "estimate-bandwidth-inf", "estimate-grid-nan", "diagnose-beta-negative", "diagnose-w-nan",
+        "estimate-bandwidth-inf", "estimate-grid-nan", "estimate-grid-10^10-points",
+        "estimate-d_x-2-grid-10^20-points", "estimate-d_x-2-grid-10^12-points",
+        "diagnose-beta-negative", "diagnose-w-nan",
         "rates-beta-negative", "rates-c0-nan", "rates-sigmoid-graphon", "rates-w0-short",
-        "rates-grid-steps-0", "simulate-out-no-dir", "estimate-out-no-dir", "minimax-out-no-dir",
+        "rates-grid-steps-0", "rates-d_x-2-grid-steps-100000", "simulate-out-no-dir",
+        "estimate-out-no-dir", "minimax-out-no-dir",
         "diagnose-out-no-dir", "rates-prefix-no-dir", "rates-config-directory",
         "rates-config-not-utf8", "simulate-out-is-directory",
         *[f"estimate-{name}" for name in [*_BAD_CELLS, *_BAD_MANIFESTS]],
@@ -173,6 +181,7 @@ _MINIMAX = ["minimax", "--n", "50", "--reps", "2", "--out", "{d}/o.json"]
 def test_bad_input_exits_2_with_one_line_and_no_output(tmp_path, capsys, argv):
     d = str(tmp_path)
     assert main(["simulate", "--n", "10", "--seed", "1", "--out", f"{d}/d.csv"]) == 0
+    assert main(["simulate", "--n", "10", "--d-x", "2", "--seed", "1", "--out", f"{d}/d2.csv"]) == 0
     for name, body in _BAD_RATES_CONFIGS.items():
         body += "" if "out.prefix" in body else "out.prefix = {d}/r\n"
         (tmp_path / f"{name}.cfg").write_text(body.format(d=d))

@@ -69,6 +69,10 @@ _EDITS = {
     "plus index": (_cell(3, 1, "+2"), True),
     "float index": (_cell(2, 1, "1.0"), False),
     "huge index": (_cell(2, 0, "9" * 30), False),
+    "leading-zero index": (_cell(2, 1, "001"), True),
+    "leading-zero index out of range": (_cell(2, 0, "007"), False),
+    "19-digit index": (_cell(3, 0, "0" * 19), True),
+    "index 2^64 + 1": (_cell(2, 1, str(2**64 + 1)), False),
     "negative index": (_cell(2, 0, "-1"), False),
     "non-ASCII digit index": (_cell(2, 1, "١"), True),
     "exponent value": (_cell(4, 2, "1e0"), True),
@@ -130,6 +134,14 @@ def test_load_gives_the_row_wise_result_or_error(tmp_path, block_chars, name):
     assert _outcome(load_dataset, str(path)) == expect
 
 
+def test_index_byte_past_the_digits_gives_the_row_walk_error(tmp_path):
+    path = _saved(tmp_path, 12)
+    replace = path.read_bytes().replace(b"\r\n0,10,", b"\r\n0,:,", 1)  # ":" is the byte after "9"
+    path.write_bytes(replace)
+    expect = _outcome(naive_load_dataset, str(path))
+    assert expect[0] is ValueError and _outcome(load_dataset, str(path)) == expect
+
+
 def test_blank_line_is_refused_at_its_line(tmp_path):
     path = _saved(tmp_path, 5)
     lines = path.read_bytes().decode().split("\r\n")
@@ -171,3 +183,16 @@ def test_dataset_io_keeps_its_temporaries_per_block(tmp_path, step):
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n * 8  # y, its dataset copy and one more N x N
+
+
+def test_load_keeps_the_parsed_y_as_the_datasets_own(tmp_path):
+    n = 600
+    path = str(tmp_path / "d.csv")
+    save_dataset(simulate(make_dgp("theorem1", "sin_additive"), n, 3), path)
+    tracemalloc.start()
+    try:
+        load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8  # y, checked in place, and one block's temporaries

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import omega, omega_inverse, selection_t
+from conftest import naive_kl_monte_carlo, omega, omega_inverse, selection_t
 
 from dyadreg.dgp import _stream, uniform_law
 from dyadreg.errors import AssumptionViolation, PackingDegenerate
 from dyadreg.kernels import DEFAULT_BUMP_AMPLITUDE, eval_kernel, make_kernel
-from dyadreg.minimax import (_cg, build_selection, fano_kl_average, fit_bump_amplitude,
+from dyadreg.minimax import (_KL_CHUNK_ELEMENTS, _cg, _kl_monte_carlo, build_selection,
+                             fano_kl_average, fit_bump_amplitude,
                              holder_floor, holder_membership_check, hypothesis_g,
                              kl_quadratic_form, kl_two_point, make_fano,
                              make_two_point, separation_check,
@@ -255,6 +257,34 @@ def test_kl_monte_carlo_matches_a_loop_over_centres(d_x):
     n = 200 if d_x == 1 else 400
     rep = fano_kl_average(fano, n, 7, 5)
     assert (rep.avg_kl, rep.kl_se) == _kl_loop(fano, n, 7, 5, 11)
+
+
+# (variant, d_x, N) where the construction is defined: the packing has
+# N h_N^d_x < 1 at N = 2, and at N = 3 with d_x = 2. At d_x = 2 it has 9
+# alternatives at N = 50 and 200 and 16 at N = 400, past the 8 terms below
+# which np.mean adds in a plain loop.
+_KL_CASES = [(v, d, n) for v in ("two-point", "fano") for d in (1, 2) for n in (2, 3, 50, 200, 400)
+             if v == "two-point" or n >= (3 if d == 1 else 50)]
+
+
+@pytest.mark.parametrize("reps", [2, 3, 100, "two chunks and one"])
+@pytest.mark.parametrize("variant,d_x,n", _KL_CASES, ids=[f"{v}-d{d}-n{n}" for v, d, n in _KL_CASES])
+def test_chunked_kl_monte_carlo_is_the_per_replication_loop_bitwise(variant, d_x, n, reps):
+    con = make_two_point(2.0, 1.7, 0.9, d_x) if variant == "two-point" else make_fano(2.0, 1.7, 0.5, d_x)
+    if reps == "two chunks and one":
+        reps = 2 * max(1, _KL_CHUNK_ELEMENTS // (con.hypothesis_centers(n).size * n)) + 1
+    assert _kl_monte_carlo(con, n, reps, 7) == naive_kl_monte_carlo(con, n, reps, 7)
+
+
+def test_kl_monte_carlo_memory_does_not_grow_with_reps():
+    con = make_two_point(2.0, 1.7, 0.9, 1)
+    tracemalloc.start()
+    try:
+        kl_two_point(con, 200, 20000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # 20000 x 200 draws alone would take 32 MB
 
 
 def test_separation_two_point_equality_at_bound():
