@@ -23,7 +23,7 @@ from .decomposition import variance_dominance
 from .dgp import (DGP_KINDS, GRID_POINTS_MAX, _sibling_paths, _stream, atomic_open, axes_grid,
                   load_dataset, make_dgp, read_manifest, save_dataset, simulate)
 from .errors import AssumptionViolation, ConfigError
-from .estimator import BandwidthRule, bandwidth, kernel_scale, nw_estimate
+from .estimator import BandwidthRule, _dense_sums, _nw, bandwidth, kernel_scale
 from .kernels import make_kernel
 from .minimax import (fano_kl_average, holder_membership_check, hypothesis_g,
                       kl_two_point, make_fano, make_two_point, separation_check,
@@ -128,7 +128,9 @@ def _cmd_simulate(args) -> list[str]:
 # --- estimate ----------------------------------------------------------------
 
 
-def _parse_grid(text: str, dim: int) -> np.ndarray:
+def _parse_grid(text: str, dim: int) -> list[np.ndarray]:
+    """The 1-d axes of a --grid, one per coordinate: its points are their
+    product, last axis fastest (dgp.axes_grid)."""
     specs = text.split(",")
     if len(specs) == 1:
         specs = specs * dim
@@ -148,7 +150,29 @@ def _parse_grid(text: str, dim: int) -> np.ndarray:
         axes.append((lo, hi, steps))
     if math.prod(steps for _, _, steps in axes) > GRID_POINTS_MAX:
         raise ConfigError(f"grid {text!r} has more than {GRID_POINTS_MAX} points")
-    return axes_grid([np.linspace(*axis) for axis in axes])
+    return [np.linspace(*axis) for axis in axes]
+
+
+def _write_estimate(fh, axes, res):
+    """estimate's CSV over the product of axes: per grid point w, f_hat,
+    g_hat (empty where undefined) and defined, floats with repr's digits.
+    Each axis value is formatted once, and the rows that share all but the
+    last coordinate go through one %-template (%.0s drops an undefined g)."""
+    fh.write(",".join([f"w_{c + 1}" for c in range(len(axes))] + ["f_hat", "g_hat", "defined"]) + "\n")
+    labels = [[f"{v!r}," for v in axis.tolist()] for axis in axes]
+    heads = [""]
+    for column in labels[:-1]:
+        heads = [head + label for head in heads for label in column]
+    lines = {True: [label + "%r,%r,1\n" for label in labels[-1]],
+             False: [label + "%r,%.0s,0\n" for label in labels[-1]]}
+    width = len(labels[-1])
+    for k, head in enumerate(heads):
+        block = slice(k * width, (k + 1) * width)
+        values = [None] * (2 * width)
+        values[0::2], values[1::2] = res.f_hat[block].tolist(), res.g_hat[block].tolist()
+        ok = res.defined[block].tolist()
+        template = lines[True] if all(ok) else [lines[o][i] for i, o in enumerate(ok)]
+        fh.write((head + head.join(template)) % tuple(values))
 
 
 def _cmd_estimate(args) -> list[str]:
@@ -160,19 +184,15 @@ def _cmd_estimate(args) -> list[str]:
     d_x = manifest["d_x"]
     kernel = _kernel(args.kernel, 2 * d_x, "--kernel")
     rule = _parse_bandwidth(args.bandwidth, args.beta, d_x)
-    grid = _parse_grid(args.grid, 2 * d_x)
+    axes = _parse_grid(args.grid, 2 * d_x)
     h = _bandwidth(rule, manifest["n_units"], kernel.dim)
     try:
         data, _manifest = load_dataset(args.data)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--data: {exc}") from None
-    res = nw_estimate(data, kernel, h, grid)
+    res = _nw(data.x, _dense_sums(data.y), kernel, h, axes_grid(axes), axes)
     with atomic_open(args.out) as fh:
-        fh.write(",".join([f"w_{c + 1}" for c in range(2 * d_x)] + ["f_hat", "g_hat", "defined"]) + "\n")
-        for w, f, g, ok in zip(grid, res.f_hat, res.g_hat, res.defined):
-            cells = [repr(float(v)) for v in w] + [repr(float(f))]
-            cells += [repr(float(g)), "1"] if ok else ["", "0"]
-            fh.write(",".join(cells) + "\n")
+        _write_estimate(fh, axes, res)
     return [args.out]
 
 

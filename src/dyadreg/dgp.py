@@ -13,8 +13,9 @@ additive DGP (no graphon, g = m(x1) + m(x2)) has outcomes c_i + c_j + V_ij,
 c = m(X) + U (`_additive_units`): its rate studies take Y b (`_outcome_matmul`)
 and its dominance studies the Hoeffding sums from c in closed form, through
 the off-diagonal sums of `_off_diagonal_sums`, and one walk of the V draw.
-`replicate` runs the replications of each N on a thread pool; each has its
-own seed, so its results do not depend on the pool size.
+`replicate` queues the replications of every N on one thread pool; each has
+its own seed, so its results depend neither on the pool size nor on the
+order they finish in, and a failure re-raises the first in (N, rep) order.
 
 The pairs CSV is written one row of Y at a time through a %-template and
 read about 600 lines at a time, numpy reading the indices from the bytes.
@@ -31,8 +32,6 @@ import csv
 import json
 import math
 import os
-import secrets
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -386,24 +385,29 @@ def _additive_units(spec: DgpSpec, n_units: int, seed: int):
 
 
 def _outcome_matmul(spec: DgpSpec, n_units: int, seed: int):
-    """(x, y_matmul): the regressors of simulate(spec, n_units, seed) and the
-    function taking weights b (N x M) to Y @ b for that dataset's Y, with no
-    N x N matrix. Only for an additive DGP: c∘(J b) + J(c∘b) (_additive_units,
-    _off_diagonal_sums) plus each V block's rows against b and its columns
-    against b's rows of the block, to rounding. At N = 600 a replication peaks
-    at 0.23 x 8 N^2 bytes on one point, 0.39 on a 2401-point d_x = 2 grid,
+    """(x, outcome_sums): the regressors of simulate(spec, n_units, seed) and
+    the function taking weights b (N x M) and a contraction to (contract(Y b),
+    contract(J b)) for that dataset's Y, with J = _off_diagonal_sums and no
+    N x N matrix. Only for an additive DGP: Y b is J(c∘b) + c∘(J b)
+    (_additive_units) plus each V block's rows against b and its columns
+    against b's rows of the block, to rounding. J b is contracted, then
+    taken into Y b, before the V walk. At N = 600 a replication peaks at
+    0.23 x 8 N^2 bytes on one point, 0.39 on a 2401-point d_x = 2 grid,
     whose halves share one N x 49 weight array (estimator._half_weights)."""
     x, c = _additive_units(spec, n_units, seed)
 
-    def y_matmul(b: np.ndarray) -> np.ndarray:
+    def outcome_sums(b: np.ndarray, contract):
         out = _off_diagonal_sums(c[:, None] * b)
-        out += c[:, None] * _off_diagonal_sums(b)
+        jb = _off_diagonal_sums(b)
+        f = contract(jb)
+        out += np.multiply(jb, c[:, None], out=jb)
+        del jb
         for r0, r1, up, low in _v_pair_blocks(seed, n_units):
             out[r0:r1] += up @ b[r0:]
             out[r0:] += low.T @ b[r0:r1]
-        return out
+        return contract(out), f
 
-    return x, y_matmul
+    return x, outcome_sums
 
 
 def replication_seed(seed: int, idx: int, rep: int) -> int:
@@ -421,13 +425,18 @@ def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic, draw
     replication's data is draw(spec, N, seed of the replication), by default
     simulate's dataset.
 
-    The replications run on a pool of threads, one per CPU this process may
-    use, and each list comes back in replication order, so the results do
-    not depend on the pool size. `statistic` and `draw` (and a DGP's g, its
-    unit part m, or graphon) must be safe to call from several threads at
-    once. If either raises, the first failing replication's exception is
-    re-raised here once the replications already running end; those still
-    queued are cancelled."""
+    Every replication of every N is queued up front, rep by rep across the
+    Ns, on one pool of threads, one per CPU this process may use: small-N
+    replications, which hold the GIL, run beside the GIL-free draws of large
+    ones, and no N waits for the last of the one before. Each N's list, held
+    until that N is yielded, is in replication order, so the results do not
+    depend on the pool size. `statistic` and `draw` (and a DGP's g, its unit
+    part m, or graphon) must be safe to call from several threads at once.
+    If either raises, the exception of the first failing replication in
+    (N, rep) order is re-raised once the replications already running end;
+    those still queued are cancelled, as on closing the generator."""
+    from concurrent.futures import ThreadPoolExecutor  # here, so that importing dyadreg loads no pool
+
     from .estimator import bandwidth  # estimator imports this module
 
     draw = simulate if draw is None else draw  # at call time, so a test's or a tracer's swap of simulate holds
@@ -435,12 +444,13 @@ def replicate(spec: DgpSpec, rule, n_list, reps: int, seed: int, statistic, draw
     def one(n, h, rep_seed):
         return statistic(draw(spec, n, rep_seed), h)
 
-    pool = ThreadPoolExecutor(max_workers=max(1, min(_THREADS, reps)), thread_name_prefix="replicate")
+    sizes = [(n, bandwidth(rule, n)) for n in n_list]
+    pool = ThreadPoolExecutor(max(1, min(_THREADS, reps * len(sizes))), thread_name_prefix="replicate")
     try:
-        for idx, n in enumerate(n_list):
-            h = bandwidth(rule, n)
-            futures = [pool.submit(one, n, h, replication_seed(seed, idx, rep)) for rep in range(reps)]
-            yield n, [f.result() for f in futures]
+        queued = {(idx, rep): pool.submit(one, n, h, replication_seed(seed, idx, rep))
+                  for rep in range(reps) for idx, (n, h) in enumerate(sizes)}
+        for idx, (n, _) in enumerate(sizes):
+            yield n, [queued[idx, rep].result() for rep in range(reps)]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -470,7 +480,7 @@ def atomic_open(path: str):
     """Text handle on a new temporary file beside `path` that replaces `path`
     in one step when the block ends, or is removed if the block raises."""
     directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f"{name}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")  # what secrets.token_hex(8) gives
     # as tempfile.mkstemp does, but 0o666: the umask, not mkstemp's 0o600, sets path's mode
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -15,30 +15,27 @@ DGP). Both paths share the weights, the density sum and the ratio with its
 cutoff, so f_hat and the undefined markers agree bit for bit; g_hat agrees
 to rounding, since Y b is summed in another order.
 
-Over a grid of G points whose first halves w1 take G1 distinct values and last
-halves w2 take G2, the sums are read off the G1 x G2 matrix a^T (Y b) of the
-distinct halves when that costs fewer flops, N^2 G2 + N G1 G2 against N^2 G +
-N G for a column pair per point: a product grid contracts over sqrt(G)
-columns. One point and scattered lists keep a column pair per point.
-
-A study evaluates every replication on one fixed grid, so the split of a grid
-into its distinct halves, each point's position (p, q) among them and the
-distinct coordinate values of the halves are planned once per distinct grid:
-a small cache keyed on the grid's bytes hands back read-only arrays, and a
-replication only evaluates kernel factors, forms a^T (Y b) and the density
-matrix, and gathers the grid from them. A one-point grid skips the cache.
+On a product grid, the G points listed by 1-d axes (dgp.axes_grid, last
+axis fastest) whose first halves w1 take G1 values and last halves w2 take
+G2, the sums are the G1 x G2 matrix a^T (Y b) raveled: each half's weights
+are the outer product of per-axis kernel factors, and the matrix costs
+N^2 G2 + N G1 G2 flops against N^2 G + N G for a column pair per point, so
+a product grid contracts over sqrt(G) columns. Rate studies and the CLI
+pass the axes they build the grid from. A bare array passed to nw_estimate
+is read afresh on every call: if it is the axes_grid of its columns'
+distinct values, bit for bit, those are its axes; any other list, and one
+point, keeps a column pair per point, whose sums are bit for bit those of
+weights built point by point. Nothing about a grid is cached.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dgp import DyadicDataset, _off_diagonal_sums
+from .dgp import DyadicDataset, _off_diagonal_sums, axes_grid
 from .kernels import KernelSpec
 
 __all__ = [
@@ -98,119 +95,85 @@ def kernel_scale(h: float, dim: int) -> float:
 # kernel pair averages
 
 
-def _weights(x: np.ndarray, kernel: KernelSpec, h: float, points, codes=None) -> np.ndarray:
+def _weights(x: np.ndarray, kernel: KernelSpec, h: float, points) -> np.ndarray:
     """Per-unit weights (N, M) of regressors x (N, d_x) at M points of R^d_x,
-    one half of a grid point: W[i, m] = prod_c k((x_ic - p_mc)/h). k runs once
-    per distinct value of a coordinate; np.take gathers it into C-ordered
-    columns, so sums over them match those over weights built point by point. codes, if given, are the
-    _coordinate_codes of points, as a grid's plan holds them. Every pair sum
-    builds its weights here, so here the kernel dimension, bandwidth and shape
-    are checked."""
-    d_x = x.shape[1]
+    one half of a grid point: W[i, m] = prod_c k((x_ic - p_mc)/h), multiplied
+    in coordinate order. points is an (M, d_x) array, or a tuple of d_x 1-d
+    axes whose product, last axis fastest (dgp.axes_grid), lists the M points:
+    then k runs once per axis value and W is the outer product of the
+    per-axis factors, bit for bit the weights of the points listed. Every
+    pair sum builds its weights here, so here the kernel dimension, bandwidth
+    and shape are checked."""
+    n, d_x = x.shape
     if kernel.dim != 2 * d_x:
         raise ValueError(f"kernel dim {kernel.dim} != 2 d_x = {2 * d_x}")
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"bandwidth must be finite and positive, got {h}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.ndim != 2 or points.shape[1] != d_x:
+    outer = isinstance(points, tuple)
+    if outer:
+        columns = [np.asarray(axis, dtype=float) for axis in points]
+    else:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        columns = list(points.T) if points.ndim == 2 else []
+    if len(columns) != d_x:
         raise ValueError(f"grid points must have length {kernel.dim}")
-    if codes is None:
-        codes = _coordinate_codes(points)
-    def factor(c):
-        values, inverse = codes[c]
-        return np.take(kernel.factor.fn((x[:, c, None] - values) / h), inverse, axis=1)
-    weights = factor(0)
+    weights = kernel.factor.fn((x[:, 0, None] - columns[0]) / h)
     for c in range(1, d_x):
-        weights *= factor(c)
+        factor = kernel.factor.fn((x[:, c, None] - columns[c]) / h)
+        if outer:
+            weights = (weights[:, :, None] * factor[:, None, :]).reshape(n, -1)
+        else:
+            weights *= factor
     return weights
 
 
-def _half_weights(x: np.ndarray, kernel: KernelSpec, h: float, first, second,
-                  codes=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+def _half_weights(x: np.ndarray, kernel: KernelSpec, h: float, first, second) -> tuple[np.ndarray, np.ndarray]:
     """(a, b): the _weights of the first and of the second halves of grid
-    points, with their codes if given. Where the halves are equal bit for bit
-    (a product grid over the same axes, or w = (w1, w1)) so are the weights,
-    and b is a itself: built once, held once."""
-    a = _weights(x, kernel, h, first, codes[0])
-    first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
-    if first.shape == second.shape and first.tobytes() == second.tobytes():
-        return a, a
-    return a, _weights(x, kernel, h, second, codes[1])
+    points, each an array of points or a tuple of axes. Where the halves are
+    equal bit for bit (a product grid over the same axes, or w = (w1, w1)) so
+    are the weights, and b is a itself: built once, held once."""
+    def bits(half):  # the halves are alike: both (M, d_x) points, or both d_x axes
+        return [np.asarray(p, dtype=float).tobytes() for p in (half if isinstance(half, tuple) else (half,))]
+
+    a = _weights(x, kernel, h, first)
+    return (a, a) if bits(first) == bits(second) else (a, _weights(x, kernel, h, second))
 
 
-def _coordinate_codes(points: np.ndarray) -> tuple:
-    """Per column of points (M, d): its distinct values and, per point, the
-    position of its value among them."""
-    return tuple(np.unique(col, return_inverse=True) for col in points.T)
+def _grid_axes(grid: np.ndarray) -> list | None:
+    """The 1-d axes whose dgp.axes_grid is grid bit for bit: the distinct
+    values of its columns, if their product lists grid in its order; else None."""
+    axes = [np.unique(col, return_inverse=True)[0] for col in grid.T]  # without indices it imports numpy.ma: 25 ms
+    if math.prod(map(len, axes)) != len(grid):
+        return None
+    return axes if np.array_equal(axes_grid(axes).view(np.int64), grid.view(np.int64)) else None
 
 
-def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, index): the distinct rows of points and, per row of points, the
-    position of its row in rows. Rows are told apart by combining per-column
-    codes, recompressed after each column so the codes stay below len(points).
-    Trailing dimensions are kept, so _weights rejects a malformed shape."""
-    code = np.zeros(len(points), dtype=np.intp)
-    for col in points.reshape(len(points), math.prod(points.shape[1:])).T:
-        values, inverse = np.unique(col, return_inverse=True)
-        code = np.unique(code * len(values) + inverse, return_inverse=True)[1]
-    rows = np.empty((code.max(initial=-1) + 1,) + points.shape[1:])
-    rows[code] = points
-    return rows, code
+def _dense_sums(y: np.ndarray):
+    """The outcome_sums of an outcome matrix y held in memory (_pair_sums)."""
+    return lambda b, contract: (contract(y @ b), contract(_off_diagonal_sums(b)))
 
 
-@functools.lru_cache(maxsize=8)
-def _planned_halves(key: bytes, shape: tuple, d: int) -> tuple[tuple, tuple]:
-    """The plan of the grid whose float64 bytes are key: per half, its distinct
-    rows, each point's position among them and the rows' _coordinate_codes.
-    Read-only, because every caller with an equal grid shares the arrays."""
-    grid = np.frombuffer(key).reshape(shape)
-    plan = []
-    for half in (grid[:, :d], grid[:, d:]):
-        rows, index = _distinct_rows(half)
-        codes = _coordinate_codes(rows)
-        for array in (rows, index, *(a for pair in codes for a in pair)):
-            array.flags.writeable = False
-        plan.append((rows, index, codes))
-    return tuple(plan)
-
-
-_PLAN_LOCK = threading.Lock()  # replicate's threads build a grid's plan once, not once each
-
-
-def _grid_halves(grid: np.ndarray, d: int) -> tuple[tuple, tuple]:
-    """((u, p, u_codes), (v, q, v_codes)) of a float grid: its plan, from the
-    cache unless the grid has one point."""
-    if len(grid) < 2:  # one-point calls are the hot path of pointwise studies
-        index = np.zeros(len(grid), dtype=np.intp)
-        return (grid[:, :d], index, None), (grid[:, d:], index, None)
-    with _PLAN_LOCK:
-        return _planned_halves(grid.tobytes(), grid.shape, d)
-
-
-def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid,
-               y_matmul) -> tuple[np.ndarray, np.ndarray]:
+def _pair_sums(x: np.ndarray, kernel: KernelSpec, h: float, grid, outcome_sums,
+               axes=None) -> tuple[np.ndarray, np.ndarray]:
     """Pair averages (psi, f) over the grid for regressors x (N x d_x): psi
-    contracts the outcome matrix Y (zero diagonal) as a^T (Y b), with Y b =
-    y_matmul(b), f the all-ones matrix off the diagonal, as a^T (J b) with J
-    dgp._off_diagonal_sums, so no unit's diagonal product cancels.
-
-    With G grid points whose halves take G1 and G2 distinct values, the whole
-    G1 x G2 matrix over the distinct halves costs N^2 G2 + N G1 G2 flops, the
-    G entries one by one N^2 G + N G. The cheaper is taken: a product grid
-    forms the matrix and gathers from it; one point or a scattered list gives
-    each point its own columns of a and b, and its sums are bit for bit those
-    of weights built point by point."""
+    contracts the outcome matrix Y (zero diagonal) as a^T (Y b), f the
+    all-ones matrix off the diagonal as a^T (J b), with J
+    dgp._off_diagonal_sums, so no unit's diagonal product cancels. Y is read
+    only through outcome_sums(b, contract) = (contract(Y b), contract(J b)).
+    A product grid (axes, or _grid_axes of a bare grid) whose first half
+    lists more than one point contracts to the G1 x G2 matrix a^T (Y b),
+    whose C order is the grid's, point g at (p, q) = divmod(g, G2); one point
+    and any other list give each point its own columns of a and b."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     n, d = x.shape
-    (u, p, u_codes), (v, q, v_codes) = _grid_halves(grid, d)
-    if len(v) * (n + len(u)) < len(grid) * (n + 1):
-        a, b = _half_weights(x, kernel, h, u, v, (u_codes, v_codes))
-        psi = (a.T @ y_matmul(b))[p, q]
-        f = (a.T @ _off_diagonal_sums(b))[p, q]
+    if axes is None and grid.ndim == 2 and len(grid) > 1:
+        axes = _grid_axes(grid)
+    if axes is not None and math.prod(len(axis) for axis in axes[:d]) > 1:
+        a, b = _half_weights(x, kernel, h, tuple(axes[:d]), tuple(axes[d:]))
+        psi, f = outcome_sums(b, lambda m: (a.T @ m).ravel())
     else:
         a, b = _half_weights(x, kernel, h, grid[:, :d], grid[:, d:])
-        psi = np.einsum("ng,ng->g", a, y_matmul(b))
-        f = np.einsum("ng,ng->g", a, _off_diagonal_sums(b))
+        psi, f = outcome_sums(b, lambda m: np.einsum("ng,ng->g", a, m))
     scale = kernel_scale(h, kernel.dim) / (n * (n - 1))
     return psi * scale, f * scale
 
@@ -230,15 +193,16 @@ class NwResult:
 def nw_estimate(data: DyadicDataset, kernel: KernelSpec, h: float, grid) -> NwResult:
     """Regression estimates over a grid; per-point undefined markers where the
     density estimate falls below the denominator cutoff, never a crash."""
-    return _nw(data.x, data.y.__matmul__, kernel, h, grid)
+    return _nw(data.x, _dense_sums(data.y), kernel, h, grid)
 
 
-def _nw(x: np.ndarray, y_matmul, kernel: KernelSpec, h: float, grid) -> NwResult:
+def _nw(x: np.ndarray, outcome_sums, kernel: KernelSpec, h: float, grid, axes=None) -> NwResult:
     """nw_estimate for regressors x whose outcome matrix Y is reached only
-    through y_matmul(b) = Y @ b: a dataset's Y, or dgp._outcome_matmul's
-    stream of simulate's Y, which never builds it."""
+    through outcome_sums (_pair_sums): a dataset's Y, or dgp._outcome_matmul's
+    stream of simulate's Y, which never builds it. axes, if given, are the
+    1-d axes whose dgp.axes_grid is grid."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    num, den = _pair_sums(x, kernel, h, grid, y_matmul)
+    num, den = _pair_sums(x, kernel, h, grid, outcome_sums, axes)
     eps_denom = 1e-12 * kernel.k_max * kernel_scale(h, kernel.dim)
     defined = den > eps_denom
     g_hat = np.full(den.shape, np.nan)

@@ -9,8 +9,9 @@ dimension govern the rate.
 
 Replications of an additive DGP, on one point or a grid, contract
 dgp._outcome_matmul's stream of the V draw and never hold the N x N outcome
-matrix. Other DGPs call nw_estimate on simulate's dataset: on a grid their
-g part is a second N^2 x G2 product, slower than simulate and one product.
+matrix. Other DGPs contract simulate's dataset: on a grid their g part is a
+second N^2 x G2 product, slower than simulate and one product. A sup-norm
+study hands its grid's axes to the contraction (estimator._pair_sums).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import GRID_POINTS_MAX, DgpSpec, _outcome_matmul, axes_grid, replicate, true_g_on_grid
-from .estimator import BandwidthRule, _nw, bandwidth, kernel_scale, nw_estimate
+from .estimator import BandwidthRule, _dense_sums, _nw, bandwidth, kernel_scale
 from .kernels import KERNEL_IDS, make_kernel
 
 __all__ = [
@@ -161,16 +162,15 @@ def _rate_axis(mode: str, n_list) -> list[float]:
 def run_rate_experiment(exp: RateExperiment) -> RateFit:
     d_x = exp.dgp.d_x
     kernel = make_kernel(exp.kernel_id, 2 * d_x)
-    if exp.mode == "pointwise":
-        grid = np.atleast_2d(np.asarray(exp.w0, dtype=float))
-    else:
-        grid = product_grid(exp.grid_lo, exp.grid_hi, exp.grid_steps, 2 * d_x)
+    axes = None if exp.mode == "pointwise" else [np.linspace(exp.grid_lo, exp.grid_hi, exp.grid_steps)] * (2 * d_x)
+    grid = np.atleast_2d(np.asarray(exp.w0, dtype=float)) if axes is None else axes_grid(axes)
     g_true = true_g_on_grid(exp.dgp, grid)
     streamed = exp.dgp.unit_part is not None  # contract the V stream, never build Y
 
     def max_error(drawn, h):
         """(undefined grid points, sup error over the defined ones or None)."""
-        res = _nw(*drawn, kernel, h, grid) if streamed else nw_estimate(drawn, kernel, h, grid)
+        x, outcome_sums = drawn if streamed else (drawn.x, _dense_sums(drawn.y))
+        res = _nw(x, outcome_sums, kernel, h, grid, axes)
         if not np.any(res.defined):
             return res.n_undefined, None
         return res.n_undefined, float(np.max(np.abs(res.g_hat[res.defined] - g_true[res.defined])))

@@ -29,7 +29,7 @@ import pytest
 
 from dyadreg.dgp import (_ROLE_U, _ROLE_V, _ROLE_X, DyadicDataset, _sibling_paths, _stream, make_dgp,
                          read_manifest, uniform_law)
-from dyadreg.estimator import BandwidthRule, _pair_sums
+from dyadreg.estimator import BandwidthRule, _dense_sums, _pair_sums
 from dyadreg.kernels import eval_kernel
 from dyadreg.minimax import kl_quadratic_form
 from dyadreg.rates import RateExperiment, run_rate_experiment
@@ -142,12 +142,12 @@ def naive_kl_monte_carlo(con, n_units, mc_reps, seed):
 
 def psi_hat(data, kernel, h, w):
     """Kernel-weighted outcome average over ordered pairs, by the library."""
-    return float(_pair_sums(data.x, kernel, h, [w], data.y.__matmul__)[0][0])
+    return float(_pair_sums(data.x, kernel, h, [w], _dense_sums(data.y))[0][0])
 
 
 def f_hat_w(data, kernel, h, w):
     """Kernel density estimate of f_W at w, by the library."""
-    return float(_pair_sums(data.x, kernel, h, [w], data.y.__matmul__)[1][0])
+    return float(_pair_sums(data.x, kernel, h, [w], _dense_sums(data.y))[1][0])
 
 
 def naive_psi_hat(data, kernel, h, w):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -9,9 +10,9 @@ import scipy
 
 from conftest import replace_cell
 from dyadreg import dgp
-from dyadreg.cli import main
-from dyadreg.dgp import load_dataset, make_dgp, simulate
-from dyadreg.estimator import BandwidthRule, bandwidth, nw_estimate
+from dyadreg.cli import _write_estimate, main
+from dyadreg.dgp import axes_grid, load_dataset, make_dgp, simulate
+from dyadreg.estimator import BandwidthRule, NwResult, bandwidth, nw_estimate
 from dyadreg.kernels import make_kernel
 
 
@@ -55,6 +56,27 @@ def test_roundtrip_estimate_matches_in_memory(tmp_path):
             assert row[4] == "1"
         else:
             assert row[3] == "" and row[4] == "0"
+
+
+@pytest.mark.parametrize("steps", [(3, 4), (2, 3, 1, 4)])
+def test_estimate_writer_matches_cell_by_cell_formatting(steps):
+    """The writer's blocks of rows are byte for byte the rows formatted one
+    cell at a time, with a block all defined, mixed blocks and a -0.0."""
+    rng = np.random.default_rng(len(steps))
+    axes = [np.sort(rng.uniform(-1, 1, s)) * 10.0 ** rng.integers(-9, 9) for s in steps]
+    axes[-1][0] = -0.0
+    grid = axes_grid(axes)
+    defined = rng.random(len(grid)) < 0.6
+    defined[:steps[-1]] = True
+    res = NwResult(grid=grid, g_hat=np.where(defined, rng.normal(size=len(grid)), np.nan),
+                   f_hat=rng.uniform(0, 1e-3, len(grid)), defined=defined)
+    buf = io.StringIO()
+    _write_estimate(buf, axes, res)
+    lines = [",".join([f"w_{c + 1}" for c in range(len(steps))] + ["f_hat", "g_hat", "defined"])]
+    for w, f, g, ok in zip(grid, res.f_hat, res.g_hat, res.defined):
+        cells = [repr(float(v)) for v in w] + [repr(float(f))]
+        lines.append(",".join(cells + ([repr(float(g)), "1"] if ok else ["", "0"])))
+    assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -289,6 +289,68 @@ def test_replicate_reraises_the_first_failing_replications_exception(monkeypatch
         list(replicate(spec, BandwidthRule("fixed", 0.3), (20,), 50, 5, statistic))
 
 
+def test_replicate_queue_gives_equal_results_on_pools_of_1_2_and_8(monkeypatch):
+    """One queue over four sizes: each N's list in replication order, each
+    replication from its own seed, whatever the pool size."""
+    spec = make_dgp("theorem1", "sin_additive")
+    rule = BandwidthRule("fixed", 0.3)
+
+    def statistic(data, h):
+        return data.y.tobytes(), h
+
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(dgp, "_THREADS", threads)
+            runs.append(list(replicate(spec, rule, (3, 9, 27, 40), 12, 4, statistic)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+    assert [n for n, _ in runs[0]] == [3, 9, 27, 40] and all(len(stats) == 12 for _, stats in runs[0])
+    for idx, (n, stats) in enumerate(runs[0]):
+        assert stats[7] == (simulate(spec, n, replication_seed(4, idx, 7)).y.tobytes(), 0.3)
+
+
+def test_replicate_queue_reraises_the_first_failure_in_n_then_rep_order(monkeypatch):
+    """(N_1, rep 2) is queued before (N_0, rep 5) and may fail first, but
+    N_0's failure is the one re-raised."""
+    monkeypatch.setattr(dgp, "_THREADS", 2)
+    spec = make_dgp("theorem1", "sin_additive")
+    failing = {simulate(spec, n, replication_seed(5, idx, rep)).x.tobytes(): f"N={n} rep {rep}"
+               for idx, n, rep in ((1, 30, 2), (0, 20, 5))}
+
+    def statistic(data, h):
+        label = failing.get(data.x.tobytes())
+        if label is not None:
+            raise ValueError(label)
+
+    with pytest.raises(ValueError, match="N=20 rep 5"):
+        list(replicate(spec, BandwidthRule("fixed", 0.3), (20, 30, 40, 50), 20, 5, statistic))
+
+
+def test_replicate_queue_is_cancelled_when_the_generator_closes(monkeypatch):
+    """Closing the generator after the first N cancels the replications
+    still queued: the calls made are at most those queued up to N_0's last
+    replication plus two per thread, and none start after the close."""
+    threads, reps, sizes = 2, 10, (20, 30, 40, 50, 60, 70, 80, 90)
+    monkeypatch.setattr(dgp, "_THREADS", threads)
+    calls = []
+
+    def statistic(data, h):
+        calls.append(data.n_units)
+        time.sleep(0.005)  # long enough that the pool cannot run far past N_0 before the close
+
+    gen = replicate(make_dgp("theorem1", "sin_additive"), BandwidthRule("fixed", 0.3), sizes, reps, 5, statistic)
+    n, stats = next(gen)
+    gen.close()
+    made = len(calls)
+    time.sleep(0.05)
+    assert n == 20 and len(stats) == reps
+    assert len(calls) == made <= (reps - 1) * len(sizes) + 1 + 2 * threads < reps * len(sizes)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         DyadicDataset(x=np.zeros((1, 1)), y=np.zeros((1, 1)))

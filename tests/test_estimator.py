@@ -9,7 +9,7 @@ from conftest import f_hat_w, naive_f_hat, naive_nw, naive_pair_average, naive_p
 
 from dyadreg import decomposition, estimator
 from dyadreg.decomposition import hoeffding_decompose
-from dyadreg.dgp import DyadicDataset, _off_diagonal_sums, make_dgp, replication_seed, simulate
+from dyadreg.dgp import DyadicDataset, _off_diagonal_sums, axes_grid, make_dgp, replication_seed, simulate
 from dyadreg.estimator import BandwidthRule, bandwidth, _weights, kernel_scale, nw_estimate
 from dyadreg.kernels import KERNEL_IDS, make_kernel
 from dyadreg.rates import product_grid
@@ -341,8 +341,8 @@ def test_distinct_half_contraction_matches_pair_loop_oracle(name, rng):
         assert res.g_hat[idx] == pytest.approx(g_ref, rel=1e-12, abs=0), idx
 
 
-def _weights_half_by_half(x, kernel, h, first, second, codes=(None, None)):
-    return _weights(x, kernel, h, first, codes[0]), _weights(x, kernel, h, second, codes[1])
+def _weights_half_by_half(x, kernel, h, first, second):
+    return _weights(x, kernel, h, first), _weights(x, kernel, h, second)
 
 
 @pytest.mark.parametrize("d_x", [1, 2])
@@ -428,30 +428,65 @@ def test_kernel_factor_evaluated_once_per_distinct_coordinate():
     assert np.array_equal(res.f_hat, nw_estimate(data, kernel, 0.5, grid).f_hat)
 
 
-def test_a_grid_mutated_in_place_is_planned_again():
+@pytest.mark.parametrize("d_x", [1, 2, 3])
+@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
+def test_axis_weights_equal_point_by_point_weights_bitwise(kernel_id, d_x):
+    """The outer product of per-axis factors is the weights of the points the
+    axes list, bit for bit, and the contraction over given axes is that of the
+    bare grid they make."""
+    kernel, h = make_kernel(kernel_id, 2 * d_x), 0.35
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=d_x), 30, 4)
+    axes = [np.linspace(0.1, 0.9, steps) for steps in (5, 3, 4, 2, 3, 2)[:2 * d_x]]
+    grid = axes_grid(axes)
+    for half in (axes[:d_x], axes[d_x:]):
+        points = axes_grid(half)
+        ref, _ = naive_weights(data, kernel, h, np.hstack([points, points]))
+        weights = _weights(data.x, kernel, h, tuple(half))
+        assert weights.tobytes() == ref.tobytes() and weights.flags.c_contiguous
+    res = estimator._nw(data.x, estimator._dense_sums(data.y), kernel, h, grid, axes)
+    ref = nw_estimate(data, kernel, h, grid)
+    for field in ("g_hat", "f_hat", "defined"):
+        assert getattr(res, field).tobytes() == getattr(ref, field).tobytes()
+
+
+def test_a_grid_mutated_in_place_is_read_fresh():
+    """A grid's axes are recovered on each call: one shifted in place gives a
+    fresh copy's estimate, and one that is no longer a product takes the
+    per-point branch, bit for bit the point-by-point sums."""
     data = simulate(make_dgp("theorem1", "sin_additive", d_x=2), 30, 12)
     k = make_kernel("epanechnikov", 4)
     grid = product_grid(0.2, 0.8, 5, 4)
     before = nw_estimate(data, k, 0.5, grid)
     grid += 0.05
-    after = nw_estimate(data, k, 0.5, grid)
-    estimator._planned_halves.cache_clear()
-    fresh = nw_estimate(data, k, 0.5, grid.copy())
+    after, fresh = nw_estimate(data, k, 0.5, grid), nw_estimate(data, k, 0.5, grid.copy())
     for field in ("g_hat", "f_hat", "defined"):
         assert getattr(after, field).tobytes() == getattr(fresh, field).tobytes()
     assert not np.array_equal(after.f_hat, before.f_hat)
+    grid[7, 1] += 0.01
+    res = nw_estimate(data, k, 0.5, grid)
+    g_ref, f_ref, defined_ref = _point_by_point_estimate(data, k, 0.5, grid)
+    assert res.f_hat.tobytes() == f_ref.tobytes() and res.g_hat.tobytes() == g_ref.tobytes()
+    assert np.array_equal(res.defined, defined_ref)
 
 
-def test_grid_plan_is_read_only_and_skipped_for_one_point():
-    data = simulate(make_dgp("theorem1", "sin_additive"), 20, 3)
-    k = make_kernel("gaussian", 2)
-    grid = product_grid(0.2, 0.8, 6, 2)
-    nw_estimate(data, k, 0.4, grid)
-    for rows, index, codes in estimator._grid_halves(grid, 1):
-        for array in (rows, index, *(a for pair in codes for a in pair)):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-    info = estimator._planned_halves.cache_info()
-    nw_estimate(data, k, 0.4, [0.3, 0.6])
-    assert estimator._planned_halves.cache_info() == info
+def test_a_bare_product_grid_contracts_over_its_axes(monkeypatch):
+    """nw_estimate on a bare 2401-point d_x = 2 product grid, as a sup-norm
+    study lists it, hands Y's products weights of 49 columns, not 2401; the
+    grid in reverse order, and one point, take a column per point."""
+    data = simulate(make_dgp("theorem1", "sin_additive", d_x=2), 50, 6)
+    k = make_kernel("epanechnikov", 4)
+    grid = product_grid(0.2, 0.8, 7, 4)
+    columns, dense_sums = [], estimator._dense_sums
+
+    def recorded(y):
+        def outcome_sums(b, contract):
+            columns.append(b.shape[1])
+            return dense_sums(y)(b, contract)
+        return outcome_sums
+
+    monkeypatch.setattr(estimator, "_dense_sums", recorded)
+    nw_estimate(data, k, 0.5, grid)
+    assert columns == [49]
+    nw_estimate(data, k, 0.5, grid[::-1])
+    nw_estimate(data, k, 0.5, grid[:1])
+    assert columns == [49, 2401, 1]

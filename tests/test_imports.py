@@ -108,3 +108,26 @@ def test_a_cli_session_loads_scipy_only_for_a_run_record(tmp_path):
     assert out["codes"] == [0, 0, 0, 0, 0]
     assert out["scipy_before"] == []
     assert out["recorded"] == out["version"]
+
+
+def test_importing_dyadreg_loads_no_thread_pool_or_secrets(tmp_path):
+    """replicate imports concurrent.futures when it runs, and atomic_open
+    names its temporary file from os.urandom, so an import, the CLI's too,
+    loads neither module; a replicate run loads the pool. Recovering a bare
+    product grid's axes, as a benchmark's warm-up does, loads no numpy.ma."""
+    script = r"""
+import json, sys
+import dyadreg, dyadreg.cli
+loaded = [m for m in ("concurrent.futures", "secrets") if m in sys.modules]
+from dyadreg.dgp import make_dgp, replicate, simulate
+from dyadreg.estimator import BandwidthRule, nw_estimate
+from dyadreg.kernels import make_kernel
+from dyadreg.rates import product_grid
+nw_estimate(simulate(make_dgp("theorem1", d_x=2), 20, 1), make_kernel("epanechnikov", 4), 0.5,
+            product_grid(0.2, 0.8, 7, 4))
+loaded += [m for m in ("concurrent.futures", "numpy.ma") if m in sys.modules]  # numpy.random loads secrets
+list(replicate(make_dgp("theorem1"), BandwidthRule("fixed", 0.3), (5,), 2, 1, lambda data, h: h))
+print(json.dumps({"import": loaded, "pool": "concurrent.futures" in sys.modules}))
+"""
+    out = _run_fresh(script, tmp_path)
+    assert out == {"import": [], "pool": True}

@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -152,19 +151,20 @@ def test_sd_is_nan_where_fewer_than_two_replications_are_defined():
     assert json.loads(rate_fit_json(fit))["rows"][3]["sd"] is None
 
 
-def test_sup_norm_study_plans_its_grid_once_on_any_pool(monkeypatch):
-    """Each half of the grid is decomposed once per study, also when eight
-    threads race for it, and the outputs match those of a one-thread pool."""
-    built = []
-    distinct_rows = estimator._distinct_rows
+@pytest.mark.parametrize("g_name", ["sin_additive", "product"])  # streamed, and simulate's dataset
+def test_sup_norm_study_gives_equal_outputs_on_any_pool(monkeypatch, g_name):
+    """A sup-norm study hands its grid's axes to the contraction, so no
+    replication recovers them, and its outputs on pools of 8 and 1 threads
+    are equal."""
+    recovered = []
+    grid_axes = estimator._grid_axes
 
-    def counted(points):
-        built.append(points.tobytes())
-        time.sleep(0.02)  # holds the build open while the other threads ask for the plan
-        return distinct_rows(points)
+    def counted(grid):
+        recovered.append(len(grid))
+        return grid_axes(grid)
 
-    monkeypatch.setattr(estimator, "_distinct_rows", counted)
-    exp = RateExperiment(dgp=make_dgp("theorem1", "sin_additive", d_x=2), kernel_id="epanechnikov",
+    monkeypatch.setattr(estimator, "_grid_axes", counted)
+    exp = RateExperiment(dgp=make_dgp("theorem1", g_name, d_x=2), kernel_id="epanechnikov",
                          rule=BandwidthRule("uniform-optimal", 0.8, beta=2.0, d_x=2), mode="sup-norm",
                          n_list=(20, 30, 40, 50), reps=50, seed=8, grid_steps=4)
     outputs = []
@@ -173,13 +173,11 @@ def test_sup_norm_study_plans_its_grid_once_on_any_pool(monkeypatch):
     try:
         for threads in (8, 1):
             monkeypatch.setattr(dgp, "_THREADS", threads)
-            estimator._planned_halves.cache_clear()
-            built.clear()
             fit = run_rate_experiment(exp)
-            assert len(built) == len(set(built)) == 2
             outputs.append((rate_rows_csv(fit), rate_fit_json(fit)))
     finally:
         sys.setswitchinterval(interval)
+    assert recovered == []
     assert outputs[0] == outputs[1]
 
 
